@@ -6,12 +6,9 @@
   the figure benches.
 * :mod:`repro.bench.runner` — error statistics and result-table helpers
   shared by the benchmark harnesses.
-* :mod:`repro.bench.perf` — Newton-kernel performance benchmark behind
-  ``repro bench --perf`` (fast vs. legacy timings + equivalence check).
 """
 
 from repro.bench.netgen import NetGenerator, canonical_net
-from repro.bench.perf import format_perf, run_perf
 from repro.bench.runner import (
     ErrorStats,
     extra_delay_arrays,
@@ -21,5 +18,4 @@ from repro.bench.runner import (
 )
 
 __all__ = ["NetGenerator", "canonical_net", "ErrorStats", "format_table",
-           "run_population", "extra_delay_arrays", "record_result",
-           "run_perf", "format_perf"]
+           "run_population", "extra_delay_arrays", "record_result"]

@@ -20,22 +20,19 @@ Entry points mirroring the production workflow:
   conservative bound stays below V are pruned without touching the
   nonlinear kernels, and ``--prune-audit-rate P`` re-checks a seeded
   sample of the prunes at tier 2, failing the run on any unsound one.
-* ``repro bench --perf`` — time the Newton kernels (fast vs. legacy
-  reference) on a seeded population, write ``BENCH_perf.json`` and fail
-  on solver-equivalence drift; ``--history``/``--baseline`` append to
-  the bench-history ledger and fail on >threshold regressions vs the
-  rolling baseline.
 * ``repro trace summarize`` — per-stage time breakdown of a trace file.
 * ``repro trace export --chrome`` — convert a trace to Chrome
   trace-event JSON for ``ui.perfetto.dev``.
 * ``repro report`` — render a run manifest (``--manifest``) back into a
   human-readable summary.
 
-``screen``/``bench`` accept ``--manifest FILE`` to write a
-schema-versioned run manifest (config, git revision, host, per-stage
-timings, resources, full metrics snapshot); ``screen --progress``
-renders a live per-net progress line with throughput, ETA and
-straggler flags.
+``screen --manifest FILE`` writes a schema-versioned run manifest
+(config, git revision, host, per-stage timings, resources, full metrics
+snapshot); ``screen --progress`` renders a live per-net progress line
+with throughput, ETA and straggler flags.
+
+Performance is measured outside the program, by ``noisebench/run.py``
+on the workloads that ``BENCHMARK.json`` declares.
 
 All output goes through the ``repro`` logger hierarchy: ``-v`` adds
 per-stage diagnostics, ``-q`` keeps only warnings.  Run ``python -m
@@ -48,7 +45,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
 
 from repro.circuit.parser import parse_netlist, parse_value
 from repro.core.analysis import DelayNoiseAnalyzer
@@ -267,55 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render a live per-net progress line on "
                             "stderr (done/total, nets/s, ETA, "
                             "straggler flags)")
-
-    p_bench = sub.add_parser(
-        "bench", help="performance benchmarks of the analysis kernels")
-    p_bench.add_argument("--perf", action="store_true",
-                         help="time the Newton kernels (fast vs legacy) "
-                              "on a seeded population and check their "
-                              "solver equivalence")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--count", type=int, default=2,
-                         help="population size (default 2)")
-    p_bench.add_argument("--t-stop", type=_value, default="2n",
-                         help="transient horizon per net (default 2n)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="skip the Rtr / alignment phases")
-    p_bench.add_argument("--sparse-dim", type=int, default=2000,
-                         metavar="N",
-                         help="MNA unknown count of the extracted-scale "
-                              "sparse-vs-dense phase (0 disables; "
-                              "default 2000)")
-    p_bench.add_argument("--screening-count", type=int, default=60,
-                         metavar="N",
-                         help="population size of the tiered-screening "
-                              "phase (0 disables; skipped under "
-                              "--quick; default 60)")
-    p_bench.add_argument("--screening-threshold", type=_value,
-                         default=None, metavar="V",
-                         help="noise threshold of the screening phase "
-                              "(default 0.6)")
-    p_bench.add_argument("--out", default="BENCH_perf.json",
-                         metavar="FILE",
-                         help="result JSON (default BENCH_perf.json)")
-    p_bench.add_argument("--manifest", metavar="FILE",
-                         help="write a schema-versioned run manifest "
-                              "alongside the bench results")
-    p_bench.add_argument("--history", metavar="FILE",
-                         help="append a manifest-stamped record to this "
-                              "JSONL bench-history ledger")
-    p_bench.add_argument("--baseline", action="store_true",
-                         help="with --history: compare this run to the "
-                              "ledger's rolling baseline and exit "
-                              "non-zero on a tracked-phase regression")
-    p_bench.add_argument("--regression-threshold", type=float,
-                         default=None, metavar="FRAC",
-                         help="fractional slowdown that counts as a "
-                              "regression (default 0.10)")
-    p_bench.add_argument("--history-window", type=_positive_int,
-                         default=None, metavar="N",
-                         help="prior records folded into the rolling "
-                              "baseline median (default 5)")
 
     p_tr = sub.add_parser(
         "trace", help="inspect trace files produced by --trace")
@@ -753,102 +700,6 @@ def _cmd_screen(args) -> int:
     return 0 if not failures else 1
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.history import (
-        DEFAULT_WINDOW,
-        REGRESSION_THRESHOLD,
-        append_history,
-        detect_regressions,
-        format_regressions,
-        history_record,
-        load_history,
-    )
-    from repro.bench.perf import SCREEN_THRESHOLD, format_perf, run_perf
-
-    if not args.perf:
-        out.error("nothing to do: pass --perf")
-        return 2
-    if args.baseline and not args.history:
-        out.error("--baseline requires --history")
-        return 2
-    threshold = args.regression_threshold \
-        if args.regression_threshold is not None else REGRESSION_THRESHOLD
-    window = args.history_window \
-        if args.history_window is not None else DEFAULT_WINDOW
-
-    screening_threshold = args.screening_threshold \
-        if args.screening_threshold is not None else SCREEN_THRESHOLD
-    manifest = None
-    if args.manifest:
-        manifest = RunManifest("bench", config={
-            "seed": args.seed, "count": args.count,
-            "t_stop": args.t_stop, "quick": args.quick,
-            "sparse_dim": args.sparse_dim,
-            "screening_count": args.screening_count,
-            "screening_threshold": screening_threshold,
-        })
-    with manifest.stage("perf") if manifest else nullcontext():
-        payload = run_perf(seed=args.seed, count=args.count,
-                           t_stop=args.t_stop, skip_analysis=args.quick,
-                           sparse_dim=args.sparse_dim,
-                           screening_count=args.screening_count,
-                           screening_threshold=screening_threshold)
-    atomic_write_json(args.out, payload)
-    out.info(format_perf(payload))
-    out.info(f"# wrote {args.out}")
-    if manifest:
-        extra = {"speedup": payload.get("speedup", {}),
-                 "equivalence": payload.get("equivalence", {})}
-        if "screening" in payload:
-            extra["screening"] = payload["screening"]
-        manifest.write(args.manifest, extra=extra)
-        out.info(f"# wrote manifest to {args.manifest}")
-
-    regressions = []
-    if args.history:
-        prior = load_history(args.history)
-        record = history_record(payload)
-        total = append_history(args.history, record)
-        out.info(f"# appended history entry #{total} to {args.history}")
-        if args.baseline:
-            regressions = detect_regressions(
-                prior, record, threshold=threshold, window=window)
-            out.info(format_regressions(regressions,
-                                        threshold=threshold))
-
-    if not payload["equivalence"]["within_tolerance"]:
-        out.error("solver equivalence drift: fast kernel deviates from "
-                  "the legacy reference beyond tolerance")
-        return 1
-    if not payload["equivalence"].get("batched_within_tolerance", True):
-        out.error("batched alignment drift: batched sweep deviates from "
-                  "the serial reference beyond tolerance")
-        return 1
-    if not payload.get("sparse", {}).get("within_tolerance", True):
-        out.error("sparse backend drift: sparse transient deviates from "
-                  "the dense reference beyond tolerance")
-        return 1
-    trust_phase = payload.get("trust", {})
-    if not trust_phase.get("bit_identical", True):
-        out.error("trust layer drift: verification changed an accepted "
-                  "clean solve (must be bit-identical on or off)")
-        return 1
-    if not trust_phase.get("within_budget", True):
-        out.error(f"trust layer overhead "
-                  f"{trust_phase['overhead_fraction']:+.1%} exceeds the "
-                  f"{trust_phase['budget']:.0%} clean-path budget")
-        return 1
-    if not payload.get("screening", {}).get("sound", True):
-        out.error(f"screening soundness: "
-                  f"{payload['screening']['unsound_prunes']} pruned "
-                  f"net(s) measured at/above the noise threshold at "
-                  f"tier 2")
-        return 1
-    if regressions:
-        return 1
-    return 0
-
-
 def _cmd_trace(args) -> int:
     records = read_trace(args.file)
     if not records:
@@ -888,7 +739,6 @@ def main(argv: list[str] | None = None) -> int:
         "characterize": _cmd_characterize,
         "analyze": _cmd_analyze,
         "screen": _cmd_screen,
-        "bench": _cmd_bench,
         "trace": _cmd_trace,
         "report": _cmd_report,
     }

@@ -1,7 +1,7 @@
 """Schema-versioned run manifests — the audit record of one invocation.
 
-A :class:`RunManifest` makes a ``screen``/``bench`` run auditable after
-the process exits: what command ran, on which config, at which git
+A :class:`RunManifest` makes a ``screen`` run auditable after the
+process exits: what command ran, on which config, at which git
 revision, on what host/toolchain, how long each stage took, what the
 solvers did (the full metrics snapshot), what failed or degraded, and
 what the telemetry itself cost.  The CLI writes it atomically as JSON
@@ -135,7 +135,8 @@ class RunManifest:
         (anything with ``net_name``/``error_type``); ``degraded`` a
         ``{"total": n, "stages": [...]}`` summary; ``progress`` a
         :meth:`ProgressTracker.snapshot`; ``extra`` is merged in
-        verbatim for command-specific blocks (e.g. the bench speedups).
+        verbatim for command-specific blocks (e.g. the screen's
+        ``audit`` and ``screening`` blocks).
         """
         sample_resources()
         wall_time = time.perf_counter() - self._t0

@@ -47,7 +47,8 @@ both facts:
 
 The pre-rework dense kernel (re-stamp + ``np.linalg.solve`` per
 iteration) is retained behind :func:`kernel_mode` — it is the reference
-the equivalence tests and the perf benchmark compare against.
+the equivalence tests and the differential audit
+(:func:`repro.trust.run_audit`) compare against.
 
 Recovery ladder
 ---------------
@@ -189,8 +190,8 @@ def set_kernel_mode(mode: str) -> str:
 
     Returns the previous mode.  The legacy kernel is the pre-rework
     dense solver (full re-stamp and ``np.linalg.solve`` per iteration);
-    it exists for equivalence testing and benchmarking, not production
-    use.
+    it exists for equivalence testing and the differential audit, not
+    production use.
     """
     global _KERNEL_MODE
     if mode not in _KERNEL_MODES:
@@ -864,10 +865,10 @@ class _VerifiedSolve:
     ``TrustConfig.check_interval``-th call runs a finiteness tripwire
     plus a full relative-residual audit (the residual costs one extra
     device evaluation and mat-vec, so it is sampled — and the clean
-    path between samples is pure bookkeeping — to keep the overhead
-    inside the perf-smoke budget).  When a fault plan is installed the
-    sampling stride is bypassed so injected corruption is always
-    exercised.  On a violation the escalation ladder runs:
+    path between samples is pure bookkeeping — to keep a clean run at
+    one audit per ``check_interval`` solves).  When a fault plan is
+    installed the sampling stride is bypassed so injected corruption
+    is always exercised.  On a violation the escalation ladder runs:
 
     1. ``fresh-newton`` — exact Newton through the modified-Newton
        path with all cached factors discarded (covers a corrupted base
@@ -911,12 +912,12 @@ class _VerifiedSolve:
         x = self.kernel.solve(b, x0, context)
         self.count += 1
         if self.count % self.interval and _active_plan() is None:
-            # Hot path: pure bookkeeping, no numpy work — this branch
-            # is what keeps the clean-path overhead inside the 5%
-            # perf-smoke budget.  A NaN state cannot ride through it
-            # silently: the Newton acceptance comparison rejects
-            # non-finite step norms, and anything that slips past is
-            # caught by the sampled audit below within one interval.
+            # Hot path: pure bookkeeping, no numpy work, so the solves
+            # between audits cost nothing extra.  A NaN state cannot
+            # ride through this branch silently: the Newton acceptance
+            # comparison rejects non-finite step norms, and anything
+            # that slips past is caught by the sampled audit below
+            # within one interval.
             return x
         forced = False
         try:

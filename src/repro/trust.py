@@ -88,8 +88,9 @@ class TrustConfig:
     #: Full residual check every Nth accepted solve (1 = every solve).
     #: A full check costs about one Newton iteration (device evaluation
     #: plus a mat-vec), so the stride is what keeps the clean path
-    #: inside the 5% perf-smoke budget; the per-solve finiteness guard
-    #: still trips immediately on NaN/inf corruption.
+    #: cheap (tests/test_trust.py holds a clean run to one check per 32
+    #: Newton solves); the per-solve finiteness guard still trips
+    #: immediately on NaN/inf corruption.
     check_interval: int = 32
     #: Voltage scale folded into the residual denominator so near-zero
     #: states do not produce 0/0 false positives.
@@ -121,7 +122,7 @@ def trust_enabled() -> bool:
 
 @contextmanager
 def trust_mode(enabled: bool):
-    """Temporarily enable/disable verification (bench, tests)."""
+    """Temporarily enable/disable verification (tests)."""
     previous = _CONFIG.enabled
     configure(enabled=enabled)
     try:
@@ -233,7 +234,7 @@ AUDIT_FIELDS = ("extra_delay_output", "extra_delay_input",
                 "pulse_height", "peak_time")
 
 #: Absolute agreement tolerance per audited field (volts / seconds) —
-#: matches the bench equivalence gate.
+#: matches the kernel-equivalence tests' state tolerance.
 AUDIT_TOLERANCE = 1e-9
 
 

@@ -14,9 +14,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.bench.netgen import NetGenerator
 from repro.circuit import GROUND, Circuit
 from repro.circuit.mna import build_mna
 from repro.core import ReceiverSpec, exhaustive_worst_alignment
+from repro.core.superposition import ModelCache, SuperpositionEngine
 from repro.devices import default_technology, nmos_params, pmos_params
 from repro.gates import inverter
 from repro.obs import metrics
@@ -357,27 +359,46 @@ class TestCircuitRebinding:
         assert np.array_equal(a.states, b.states)
 
 
+def sweep_inputs():
+    """``(label, receiver, victim, pulse, vdd)`` alignment-sweep inputs.
+
+    A hand-built receiver case, then each seed-1 population net's
+    receiver-end victim transition and first-aggressor noise pulse.
+    """
+    receiver = ReceiverSpec(inverter(scale=2), c_load=5 * FF)
+    yield ("hand-built", receiver,
+           ramp(-0.15 * NS, 0.3 * NS, 0.0, VDD, pad=0.5 * NS),
+           noise_pulse(0.0, -0.45, 0.12 * NS), VDD)
+    cache = ModelCache()
+    for net in NetGenerator(seed=1).population(2):
+        engine = SuperpositionEngine(net, cache=cache)
+        victim = (engine.victim_transition().at_receiver
+                  + net.victim_initial_level())
+        pulse = engine.aggressor_noise(net.aggressors[0].name).at_receiver
+        yield f"seed-1 {net.name}", net.receiver, victim, pulse, net.vdd
+
+
 class TestAlignmentSweepEquivalence:
     def test_batched_sweep_matches_serial_sweep(self):
-        """The end-to-end satellite gate: exhaustive_worst_alignment with
-        batch=True must reproduce the serial sweep's grid exactly and its
-        delays inside the kernel tolerance."""
-        receiver = ReceiverSpec(inverter(scale=2), c_load=5 * FF)
-        victim = ramp(-0.15 * NS, 0.3 * NS, 0.0, VDD, pad=0.5 * NS)
-        pulse = noise_pulse(0.0, -0.45, 0.12 * NS)
+        """End to end, on every case of :func:`sweep_inputs`:
+        exhaustive_worst_alignment with batch=True must reproduce the
+        serial sweep's grid exactly and its delays inside the kernel
+        tolerance."""
         kwargs = dict(steps=9, refine=4, dt=2 * PS)
-        serial = exhaustive_worst_alignment(
-            receiver, victim, pulse, VDD, True, batch=False, **kwargs)
-        batched = exhaustive_worst_alignment(
-            receiver, victim, pulse, VDD, True, batch=True, **kwargs)
-        np.testing.assert_array_equal(batched.peak_times,
-                                      serial.peak_times)
-        np.testing.assert_allclose(batched.extra_output_delays,
-                                   serial.extra_output_delays,
-                                   atol=TOLERANCE, rtol=0)
-        assert batched.best_peak_time == serial.best_peak_time
-        assert batched.best_extra_output == pytest.approx(
-            serial.best_extra_output, abs=TOLERANCE)
+        for label, receiver, victim, pulse, vdd in sweep_inputs():
+            serial = exhaustive_worst_alignment(
+                receiver, victim, pulse, vdd, True, batch=False, **kwargs)
+            batched = exhaustive_worst_alignment(
+                receiver, victim, pulse, vdd, True, batch=True, **kwargs)
+            np.testing.assert_array_equal(batched.peak_times,
+                                          serial.peak_times, label)
+            np.testing.assert_allclose(batched.extra_output_delays,
+                                       serial.extra_output_delays,
+                                       atol=TOLERANCE, rtol=0,
+                                       err_msg=label)
+            assert batched.best_peak_time == serial.best_peak_time, label
+            assert batched.best_extra_output == pytest.approx(
+                serial.best_extra_output, abs=TOLERANCE), label
 
     def test_candidate_counter_tracks_sweep_size(self):
         receiver = ReceiverSpec(inverter(scale=2), c_load=5 * FF)

@@ -334,49 +334,8 @@ class TestObservability:
         assert "net.analyze" in capsys.readouterr().out
 
 
-class TestBenchPerf:
-    def test_requires_perf_flag(self, capsys):
-        assert main(["bench"]) == 2
-        assert "--perf" in capsys.readouterr().out
-
-    def test_quick_perf_run_writes_payload(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_perf.json"
-        code = main(["bench", "--perf", "--quick", "--count", "1",
-                     "--t-stop", "0.1n", "--sparse-dim", "0",
-                     "--out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro.bench.perf/v5"
-        assert payload["equivalence"]["within_tolerance"] is True
-        assert payload["equivalence"]["max_state_delta"] <= 1e-9
-        assert payload["equivalence"]["batched_within_tolerance"] is True
-        assert "sparse" not in payload  # --sparse-dim 0 disables
-        for kernel in ("legacy", "fast"):
-            assert payload["kernels"][kernel]["transient_steps"] > 0
-        assert "newton_throughput" in payload["speedup"]
-        text = capsys.readouterr().out
-        assert "equivalence: max state delta" in text
-        assert "-> ok" in text
-
-    def test_quick_perf_sparse_phase(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_perf.json"
-        code = main(["bench", "--perf", "--quick", "--count", "1",
-                     "--t-stop", "0.1n", "--sparse-dim", "600",
-                     "--out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        sp = payload["sparse"]
-        assert sp["dim"] >= 512
-        assert sp["within_tolerance"] is True
-        assert sp["max_state_delta"] <= sp["tolerance"]
-        assert sp["speedup"] > 0
-        assert "analysis_sparse_s" not in sp  # --quick skips it
-        assert "sparse phase: dim=" in capsys.readouterr().out
-
-
 class TestRunLedger:
-    """``--manifest``/``--progress``, ``report``, ``trace export`` and
-    the bench history comparator."""
+    """``--manifest``/``--progress``, ``report`` and ``trace export``."""
 
     def test_screen_manifest_and_progress(self, tmp_path, capsys):
         from repro.obs import load_manifest
@@ -492,92 +451,3 @@ class TestRunLedger:
         assert main(["trace", "export", str(empty),
                      "--chrome", str(tmp_path / "c.json")]) == 1
         assert "no spans" in capsys.readouterr().out
-
-    def test_baseline_requires_history(self, capsys):
-        assert main(["bench", "--perf", "--baseline"]) == 2
-        assert "--baseline requires --history" in \
-            capsys.readouterr().out
-
-
-class TestBenchHistoryCLI:
-    """History append + comparator via a stubbed run_perf (the real
-    kernels are exercised by TestBenchPerf)."""
-
-    PAYLOAD = {
-        "schema": "repro.bench.perf/v5",
-        "config": {"seed": 1, "count": 1, "t_stop": 1e-10},
-        "kernels": {"fast": {"transient_s": 0.05,
-                             "steps_per_second": 20000.0}},
-        "speedup": {"newton_throughput": 2.5},
-        "equivalence": {"within_tolerance": True,
-                        "batched_within_tolerance": True},
-    }
-
-    @pytest.fixture()
-    def stub_perf(self, monkeypatch):
-        import repro.bench.perf as perf_module
-
-        monkeypatch.setattr(perf_module, "run_perf",
-                            lambda **kwargs: dict(self.PAYLOAD))
-        monkeypatch.setattr(perf_module, "format_perf",
-                            lambda payload: "stubbed perf table")
-
-    def test_history_appends_and_passes(self, tmp_path, capsys,
-                                        stub_perf):
-        history = tmp_path / "hist.jsonl"
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--perf", "--out", str(out),
-                     "--history", str(history)]) == 0
-        assert main(["bench", "--perf", "--out", str(out),
-                     "--history", str(history), "--baseline"]) == 0
-        text = capsys.readouterr().out
-        assert f"appended history entry #1 to {history}" in text
-        assert f"appended history entry #2 to {history}" in text
-        assert "no tracked phase regressed" in text
-        lines = history.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert all(json.loads(line)["schema"]
-                   == "repro.bench.history/v1" for line in lines)
-
-    def test_doctored_history_fails_baseline(self, tmp_path, capsys,
-                                             stub_perf):
-        """Acceptance: a synthetic >10% drop exits non-zero."""
-        history = tmp_path / "hist.jsonl"
-        doctored = dict(self.PAYLOAD)
-        doctored["speedup"] = {"newton_throughput": 10.0}
-        from repro.bench.history import append_history, history_record
-
-        append_history(history, history_record(doctored))
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--perf", "--out", str(out),
-                     "--history", str(history), "--baseline"]) == 1
-        text = capsys.readouterr().out
-        assert "regressed more than 10%" in text
-        assert "newton_throughput" in text
-
-    def test_threshold_flag_relaxes_comparator(self, tmp_path, capsys,
-                                               stub_perf):
-        history = tmp_path / "hist.jsonl"
-        doctored = dict(self.PAYLOAD)
-        doctored["speedup"] = {"newton_throughput": 2.6}  # -4% drop
-        from repro.bench.history import append_history, history_record
-
-        append_history(history, history_record(doctored))
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--perf", "--out", str(out),
-                     "--history", str(history), "--baseline",
-                     "--regression-threshold", "0.5"]) == 0
-        assert "threshold 50%" in capsys.readouterr().out
-
-    def test_bench_manifest(self, tmp_path, capsys, stub_perf):
-        from repro.obs import load_manifest
-
-        manifest_file = tmp_path / "bench_manifest.json"
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--perf", "--out", str(out),
-                     "--manifest", str(manifest_file)]) == 0
-        capsys.readouterr()
-        payload = load_manifest(manifest_file)
-        assert payload["command"] == "bench"
-        assert payload["stages"]["perf"] >= 0.0
-        assert payload["speedup"] == {"newton_throughput": 2.5}

@@ -1,21 +1,11 @@
 """Tests for the run-ledger layer: atomic writes, resource sampling,
-progress heartbeats, run manifests, Chrome trace export and the bench
-history ledger."""
+progress heartbeats, run manifests and Chrome trace export."""
 
 import io
 import json
 
 import pytest
 
-from repro.bench.history import (
-    HISTORY_SCHEMA,
-    Regression,
-    append_history,
-    detect_regressions,
-    format_regressions,
-    history_record,
-    load_history,
-)
 from repro.obs import (
     Heartbeat,
     MANIFEST_SCHEMA,
@@ -350,97 +340,3 @@ class TestChromeTrace:
         payload = json.loads(path.read_text())
         assert all(e["dur"] >= 0 for e in payload["traceEvents"]
                    if e["ph"] == "X")
-
-
-# ----------------------------------------------------------------------
-# Bench history ledger
-# ----------------------------------------------------------------------
-def perf_payload(newton=2.5, batched=4.0, sparse=25.0):
-    return {
-        "schema": "repro.bench.perf/v5",
-        "config": {"seed": 1, "count": 2, "t_stop": 2e-9, "dt": 1e-12,
-                   "sparse_dim": 2000},
-        "kernels": {"fast": {"transient_s": 0.1,
-                             "steps_per_second": 20000.0}},
-        "speedup": {"newton_throughput": newton,
-                    "alignment_search_batched": batched},
-        "sparse": {"speedup": sparse},
-    }
-
-
-class TestHistory:
-    def test_record_shape(self):
-        record = history_record(perf_payload())
-        assert record["schema"] == HISTORY_SCHEMA
-        assert record["phases"] == {"newton_throughput": 2.5,
-                                    "alignment_search_batched": 4.0,
-                                    "sparse_speedup": 25.0}
-        assert record["bench_schema"] == "repro.bench.perf/v5"
-        assert record["config"]["seed"] == 1
-        assert record["wall"]["steps_per_second_fast"] == 20000.0
-
-    def test_record_skips_missing_phases(self):
-        payload = perf_payload()
-        del payload["sparse"]
-        record = history_record(payload)
-        assert "sparse_speedup" not in record["phases"]
-
-    def test_append_load_roundtrip(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        assert load_history(path) == []
-        assert append_history(path, history_record(perf_payload())) == 1
-        assert append_history(path, history_record(perf_payload())) == 2
-        records = load_history(path)
-        assert len(records) == 2
-        assert all(r["schema"] == HISTORY_SCHEMA for r in records)
-
-    def test_load_skips_corrupt_lines(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        append_history(path, history_record(perf_payload()))
-        with open(path, "a") as handle:
-            handle.write("{not json\n\n")
-        append_history(path, history_record(perf_payload()))
-        assert len(load_history(path)) == 2
-
-    def test_no_history_no_regression(self):
-        assert detect_regressions([], history_record(perf_payload())) \
-            == []
-
-    def test_within_threshold_passes(self):
-        history = [history_record(perf_payload(newton=2.5))]
-        current = history_record(perf_payload(newton=2.3))  # -8%
-        assert detect_regressions(history, current) == []
-
-    def test_doctored_drop_detected(self):
-        """The acceptance case: a synthetic >10% drop must fail."""
-        history = [history_record(perf_payload(newton=2.5))
-                   for _ in range(3)]
-        current = history_record(perf_payload(newton=2.0))  # -20%
-        (reg,) = detect_regressions(history, current)
-        assert reg.phase == "newton_throughput"
-        assert reg.baseline == pytest.approx(2.5)
-        assert reg.current == pytest.approx(2.0)
-        assert reg.drop_fraction == pytest.approx(0.2)
-
-    def test_rolling_window_uses_recent_records(self):
-        """Old glory days age out of the baseline."""
-        history = [history_record(perf_payload(newton=10.0))] \
-            + [history_record(perf_payload(newton=2.0))
-               for _ in range(5)]
-        current = history_record(perf_payload(newton=1.95))
-        assert detect_regressions(history, current, window=5) == []
-
-    def test_threshold_override(self):
-        history = [history_record(perf_payload(newton=2.5))]
-        current = history_record(perf_payload(newton=2.3))  # -8%
-        regs = detect_regressions(history, current, threshold=0.05)
-        assert [r.phase for r in regs] == ["newton_throughput"]
-
-    def test_format_regressions(self):
-        text = format_regressions([])
-        assert "no tracked phase regressed" in text
-        reg = Regression(phase="sparse_speedup", baseline=25.0,
-                         current=10.0, samples=3)
-        text = format_regressions([reg])
-        assert "sparse_speedup" in text
-        assert "-60.0%" in text

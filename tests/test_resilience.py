@@ -344,17 +344,21 @@ class TestPoolResilience:
         assert result.reports[2] is not None
 
     def test_mixed_failure_types(self, analyzer, pool_nets):
-        """Timeout and convergence failures are tallied separately."""
+        """Timeout and convergence failures are tallied separately.
+
+        The budget is about ten times a healthy net's analysis time
+        (about 1 s warm on a 2-vCPU host), so only the injected hang,
+        which sleeps far past it, can trip it."""
         plan = FaultPlan()
         plan.add("analysis.net", match="rn0", action="convergence")
         plan.add("analysis.net", match="rn1", action="sleep",
-                 seconds=5.0)
+                 seconds=600.0)
         install_faults(plan)
         result = analyze_nets(pool_nets, jobs=1, analyzer=analyzer,
-                              timeout=0.2, alignment="table")
+                              timeout=10.0, alignment="table")
         assert result.stats.failures_by_type["ConvergenceError"] == 1
         assert result.stats.failures_by_type["NetTimeout"] == 1
-        assert result.reports[2] is not None
+        assert result.reports[2].quality == "exact"
 
     def test_max_failures_breaker(self, analyzer, pool_nets):
         install_faults(FaultPlan().add(
