@@ -14,7 +14,7 @@ Entry points mirroring the production workflow:
   circuit-breaker policies, ``--init-timeout``/``--watchdog-factor``/
   ``--rss-budget-mb`` configure the worker watchdog, and
   ``--audit-rate P`` re-runs a seeded sample of nets through the
-  legacy oracle and fails on any mismatch.  ``--noise-threshold V``
+  dense reference solve and fails on any mismatch.  ``--noise-threshold V``
   switches on the three-tier screen (closed-form bound, reduced-order
   estimate, full analysis — see ``repro.core.screening``): nets whose
   conservative bound stays below V are pruned without touching the
@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scr.add_argument("--audit-rate", type=float, default=0.0,
                        metavar="P",
                        help="re-run a seeded random fraction P of the "
-                            "screened nets through the legacy oracle "
-                            "kernel and fail on any mismatch beyond "
+                            "screened nets through the dense reference "
+                            "solve and fail on any mismatch beyond "
                             "tolerance (0 disables, 1.0 audits every "
                             "exact-quality net)")
     p_scr.add_argument("--inject", metavar="FILE",
@@ -659,7 +659,7 @@ def _cmd_screen(args) -> int:
             manifest.add_stage("audit",
                                time.perf_counter() - t_audit)
         out.info(f"# audit: {audit['checked']}/{audit['eligible']} "
-                 f"eligible net(s) re-run through the legacy oracle, "
+                 f"eligible net(s) re-run through the dense reference, "
                  f"{len(audit['mismatches'])} mismatch(es)")
 
     if args.trace:
@@ -690,7 +690,7 @@ def _cmd_screen(args) -> int:
         out.info(f"# wrote manifest to {args.manifest}")
     if audit is not None and not audit["ok"]:
         out.error(f"audit failed: {len(audit['mismatches'])} "
-                  f"mismatch(es) against the legacy oracle")
+                  f"mismatch(es) against the dense reference")
         return 1
     if prune_audit is not None and not prune_audit["ok"]:
         out.error(f"prune audit failed: "

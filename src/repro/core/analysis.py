@@ -42,6 +42,7 @@ from repro.resilience.degradation import (
     QUALITY_DEGRADED,
     QUALITY_EXACT,
     Degradation,
+    NetTimeout,
 )
 from repro.resilience.faults import fire as _fire_fault
 from repro.units import NS, PS
@@ -308,6 +309,8 @@ class DelayNoiseAnalyzer:
                             engine, shifts, driver_load=rtr_driver_load,
                             driver_engine=rtr_driver_engine)
                         r_hold = rtr_result.rtr
+                    except NetTimeout:
+                        raise  # the net's budget is spent: fail it
                     except Exception as exc:
                         # The transient holding resistance is a
                         # refinement; its conservative baseline is the
@@ -478,6 +481,8 @@ class DelayNoiseAnalyzer:
                 return self._alignment_target(
                     method, net, noiseless_input, shape, height, width,
                     victim_slew, engine, exhaustive_steps)
+            except NetTimeout:
+                raise
             except Exception as exc:
                 failed_stages.add("alignment")
                 error = f"{type(exc).__name__}: {exc}"
@@ -488,6 +493,8 @@ class DelayNoiseAnalyzer:
             fallback_target = input_objective_peak_time(
                 noiseless_input, height, vdd, rising)
             fallback = "input-objective"
+        except NetTimeout:
+            raise
         except Exception:
             fallback_target = target
             fallback = "peak-alignment"

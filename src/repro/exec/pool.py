@@ -92,6 +92,7 @@ from repro.resilience import (
     load_checkpoint_header,
     mark_worker_process,
 )
+from repro.resilience.degradation import NetTimeout
 from repro.storage import noise_report_from_dict, noise_report_to_dict
 
 __all__ = ["NetFailure", "NetTimeout", "TooManyFailures", "ExecStats",
@@ -102,10 +103,6 @@ __all__ = ["NetFailure", "NetTimeout", "TooManyFailures", "ExecStats",
 _WATCHDOG_POLL_S = 0.25
 
 log = get_logger("exec.pool")
-
-
-class NetTimeout(Exception):
-    """One net's analysis exceeded the per-net wall-clock budget."""
 
 
 class TooManyFailures(RuntimeError):

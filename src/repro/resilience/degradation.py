@@ -8,17 +8,26 @@ alignment.  When a refinement stage fails, the analyzer substitutes
 the baseline and records *what* failed and *what* replaced it, so a
 degraded-but-complete report is distinguishable from an exact one all
 the way to the screen output.
+
+A blown per-net deadline (:class:`NetTimeout`) is not a stage failure:
+the handlers let it through, so the net fails instead of degrading and
+running on past its budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Degradation", "QUALITY_DEGRADED", "QUALITY_EXACT"]
+__all__ = ["Degradation", "NetTimeout", "QUALITY_DEGRADED",
+           "QUALITY_EXACT"]
 
 #: ``NoiseReport.quality`` values.
 QUALITY_EXACT = "exact"
 QUALITY_DEGRADED = "degraded"
+
+
+class NetTimeout(Exception):
+    """One net's analysis exceeded the per-net wall-clock budget."""
 
 
 @dataclass(frozen=True)

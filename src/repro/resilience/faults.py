@@ -16,7 +16,7 @@ Fault points
 ===================  =====================================  ==========
 point                fired from                             key
 ===================  =====================================  ==========
-``newton.step``      ``_newton_solve`` entry                solve context
+``newton.step``      every scalar Newton solve's entry      solve context
 ``newton.batched``   batched block-solve entry              solve context
 ``trust.verify``     trust-layer post-solve verification    solve context
 ``analysis.net``     ``DelayNoiseAnalyzer.analyze`` entry   net name

@@ -6,7 +6,11 @@
 * :mod:`repro.sim.nonlinear` — backward-Euler + damped-Newton transient
   co-simulation of MOSFET devices with arbitrary linear networks.  Plays
   the role of "Spice" in the paper: the golden reference and the engine
-  behind Thevenin / Rtr / alignment characterization.
+  behind Thevenin / Rtr / alignment characterization.  Its Newton core
+  (one Woodbury routing rule, one dispatch-free loop shared with the
+  batched kernel, exact Newton as the fallback) is held to a minimal
+  dense reference solve by the equivalence tests and the differential
+  audit.
 * :mod:`repro.sim.batched` — multi-candidate variant of the non-linear
   solver: S source-stimulus variants of one circuit advance as a single
   ``(S, dim)`` state block over one factored system (the alignment-sweep
@@ -21,8 +25,6 @@ from repro.sim.linear import simulate_linear
 from repro.sim.nonlinear import (
     ConvergenceError,
     dc_operating_point,
-    kernel_mode,
-    set_kernel_mode,
     simulate_nonlinear,
 )
 from repro.sim.batched import simulate_nonlinear_batch
@@ -37,6 +39,4 @@ __all__ = [
     "simulate_nonlinear_batch",
     "dc_operating_point",
     "ConvergenceError",
-    "kernel_mode",
-    "set_kernel_mode",
 ]

@@ -46,13 +46,13 @@ import numpy as np
 from repro import trust as _trust
 from repro.circuit.elements import Stimulus
 from repro.circuit.mna import MnaSystem, build_mna
-from repro.devices.mosfet import evaluate_batch_channel, evaluate_one
+from repro.devices.mosfet import evaluate_batch_channel
 from repro.circuit.netlist import Circuit
 from repro.obs import metrics
 from repro.sim import nonlinear as _nl
 from repro.resilience.faults import InjectedCorruption
 from repro.resilience.faults import fire as _fire_fault
-from repro.sim.factor import factorize, is_sparse_matrix
+from repro.sim.factor import is_sparse_matrix
 
 try:  # pragma: no cover - container ships scipy; gate for safety
     from scipy import sparse as _sp
@@ -60,8 +60,9 @@ except ImportError:  # pragma: no cover
     _sp = None
 from repro.sim.nonlinear import (
     ConvergenceError,
-    _BATCH_EVAL_MIN,
+    _CONVERGED,
     _DAMP_LIMIT,
+    _DeviceBatch,
     _FACTOR_HIT,
     _FACTOR_MISS,
     _ITERATIONS,
@@ -72,12 +73,15 @@ from repro.sim.nonlinear import (
     _cached_solver,
     _dc_solve,
     _device_batch,
+    _device_gains,
     _integrate_bisect,
     _kernel_factory,
+    _py_tables,
     _solve_small,
+    _woodbury_base,
+    _woodbury_py,
     simulate_nonlinear,
 )
-from repro.sim.nonlinear import _DeviceBatch  # noqa: F401  (re-export for tests)
 from repro.sim.result import SimulationResult, time_grid
 
 __all__ = ["simulate_nonlinear_batch"]
@@ -180,15 +184,39 @@ class _BlockAudit:
         return suspects
 
 
+def _fold_gmin(A, batch: _DeviceBatch):
+    """``A`` plus every device's constant drain-source gmin shunt.
+
+    The shunt is linear: folding it into the base matrix (instead of
+    re-stamping it into every residual and Jacobian) leaves the Newton
+    root unchanged and lets the device evaluation run channel-only.
+    """
+    gm = batch.params.gmin
+    d_idx, s_idx = batch.id_, batch.is_
+    mask_d, mask_s = d_idx >= 0, s_idx >= 0
+    both = mask_d & mask_s
+    rows = np.concatenate([d_idx[mask_d], s_idx[mask_s], d_idx[both],
+                           s_idx[both]])
+    cols = np.concatenate([d_idx[mask_d], s_idx[mask_s], s_idx[both],
+                           d_idx[both]])
+    vals = np.concatenate([gm[mask_d], gm[mask_s], -gm[both], -gm[both]])
+    if is_sparse_matrix(A):
+        return (A + _sp.coo_matrix((vals, (rows, cols)),
+                                   shape=A.shape)).tocsc()
+    A = A.copy()
+    np.add.at(A, (rows, cols), vals)
+    return A
+
+
 class _BatchedKernel:
     """Active-set Newton over an ``(S, dim)`` state block.
 
-    Shares the scalar fast kernel's structure — factored base ``A``,
-    precomputed ``W = A⁻¹ E_R``, per-iteration ``k×k`` Woodbury solves —
-    but batched over candidates.  ``available`` is False when the scalar
-    kernel would also have refused Woodbury (singular ``A`` or
-    ``2k > dim``); callers then run every candidate through the scalar
-    path.
+    Shares the scalar fast kernel's structure — the same routing rule
+    (:func:`~repro.sim.nonlinear._woodbury_base`) over the gmin-folded
+    base ``A``, precomputed ``W = A⁻¹ E_R``, per-iteration ``k×k``
+    Woodbury solves — but batched over candidates.  ``available`` is
+    False when the rule rejects the base; callers then run every
+    candidate through the scalar path.
     """
 
     __slots__ = ("A", "Ch", "batch", "fact", "W", "available", "sparse",
@@ -196,68 +224,20 @@ class _BatchedKernel:
                  "_pyt", "_xbuf", "_dbuf")
 
     def __init__(self, A: np.ndarray, Ch: np.ndarray,
-                 batch: "_DeviceBatch"):
+                 batch: _DeviceBatch):
         self.A = A
         self.Ch = Ch
         self.batch = batch
-        self.fact = None
-        self.W = None
-        self.available = False
         self.sparse = is_sparse_matrix(A)
-        self.AinvT = None
-        self.HchT = None
-        self.Gdev = None
-        self.P = None
-        self.TWf = None
-        self.sel = None
-        self._pyt = None
-        self._xbuf = None
-        self._dbuf = None
-        if 2 * batch.k > A.shape[0]:
-            return
-        # The constant gmin drain-source shunt of every device is linear:
-        # folding it into the base matrix (instead of re-stamping it into
-        # every residual and Jacobian) leaves the Newton root unchanged
-        # and lets the device evaluation run channel-only.
-        if self.sparse:
-            A_eff = A
-            if batch.n:
-                gm = batch.params.gmin
-                d_idx, s_idx = batch.id_, batch.is_
-                mask_d, mask_s = d_idx >= 0, s_idx >= 0
-                both = mask_d & mask_s
-                rows = np.concatenate([d_idx[mask_d], s_idx[mask_s],
-                                       d_idx[both], s_idx[both]])
-                cols = np.concatenate([d_idx[mask_d], s_idx[mask_s],
-                                       s_idx[both], d_idx[both]])
-                vals = np.concatenate([gm[mask_d], gm[mask_s],
-                                       -gm[both], -gm[both]])
-                A_eff = (A + _sp.coo_matrix((vals, (rows, cols)),
-                                            shape=A.shape)).tocsc()
-        else:
-            A_eff = A.copy()
-            if batch.n:
-                gm = batch.params.gmin
-                d_idx, s_idx = batch.id_, batch.is_
-                mask_d, mask_s = d_idx >= 0, s_idx >= 0
-                both = mask_d & mask_s
-                np.add.at(A_eff, (d_idx[mask_d], d_idx[mask_d]),
-                          gm[mask_d])
-                np.add.at(A_eff, (s_idx[mask_s], s_idx[mask_s]),
-                          gm[mask_s])
-                np.add.at(A_eff, (d_idx[both], s_idx[both]), -gm[both])
-                np.add.at(A_eff, (s_idx[both], d_idx[both]), -gm[both])
-        try:
-            fact = factorize(A_eff)
-        except np.linalg.LinAlgError:
-            return
-        self.fact = fact
-        self.available = True
-        if batch.k:
-            selector = np.zeros((A.shape[0], batch.k))
-            selector[batch.rows, np.arange(batch.k)] = 1.0
-            self.W = fact.solve(selector)
-        self._precompute()
+        self.AinvT = self.HchT = self.Gdev = None
+        self.P = self.TWf = self.sel = None
+        self._pyt = self._xbuf = self._dbuf = None
+        base = _woodbury_base(_fold_gmin(A, batch) if batch.n else A,
+                              batch)
+        self.available = base is not None
+        self.fact, self.W = base or (None, None)
+        if self.available:
+            self._precompute()
 
     def _precompute(self) -> None:
         """Fold the scatter maps through ``A⁻¹`` once, so an iteration
@@ -273,7 +253,9 @@ class _BatchedKernel:
         * ``P`` replays the (sign-folded) Jacobian scatter as a gemm, so
           the correction block is ``(Dsel @ P).reshape(a, k, dim)``;
         * ``TWf`` pre-contracts ``P`` with ``W``: the Woodbury matrix
-          ``M @ W`` becomes ``(Dsel @ TWf).reshape(a, k, k)``.
+          ``M @ W`` becomes ``(Dsel @ TWf).reshape(a, k, k)``;
+        * ``_pyt`` holds the shared dispatch-free loop's tables for the
+          straggler tail (:meth:`_finish_py`).
         """
         batch, fact = self.batch, self.fact
         n, dim, k = batch.n, batch.dim, batch.k
@@ -285,9 +267,7 @@ class _BatchedKernel:
             self.AinvT = fact.solve(np.eye(dim)).T
             self.HchT = self.Ch.T @ self.AinvT
         if n:
-            F = np.zeros((n, dim))
-            np.add.at(F, (batch.f_dev, batch.f_idx), batch.f_sign_neg)
-            self.Gdev = fact.solve_rows(F)
+            self.Gdev = _device_gains(batch, fact)
         if k and n and batch.m_flat.size:
             m = batch.m_flat.size
             P = np.zeros((m, k * dim))
@@ -297,24 +277,10 @@ class _BatchedKernel:
             # Flat gather from the (a, 3n) derivative block: entry e
             # reads derivative source m_src[e] of device m_dev[e].
             self.sel = batch.m_src * n + batch.m_dev
-        if n and n < _BATCH_EVAL_MIN and k in (1, 2) and dim <= 24:
-            # Dispatch-free tail tables (the batched twin of the scalar
-            # kernel's _build_py_fast): everything is expressed against
-            # the gmin-folded A, so the device model runs channel-only —
-            # gmin = 0.0 in the unpacked parameter tuples.
-            gdev = [tuple(row) for row in self.Gdev.tolist()]
-            W_rows = [tuple(row) for row in self.W.tolist()]
-            stamp_rows: list[list[tuple]] = [[] for _ in range(k)]
-            for e in range(batch.m_flat.size):
-                pos, col = divmod(int(batch.m_flat[e]), dim)
-                sign = float(batch.m_sign[e])
-                tw = tuple(sign * w for w in W_rows[col])
-                stamp_rows[pos].append(
-                    (int(batch.m_src[e]), int(batch.m_dev[e]), col, sign)
-                    + tw)
-            devs = [(sg, be, vt, lm, 0.0, g, d, s)
-                    for sg, be, vt, lm, _gm, g, d, s in batch.scalar_devs]
-            self._pyt = (gdev, W_rows, stamp_rows, devs, dim, k)
+        # Everything is expressed against the gmin-folded A, so the
+        # tail's device model runs channel-only.
+        self._pyt = _py_tables(batch, fact, self.W, gmin_folded=True,
+                               gains=self.Gdev)
 
     def base_rows(self, B: np.ndarray) -> np.ndarray:
         """``A⁻¹`` applied to every row of ``B`` — one GEMM against the
@@ -323,9 +289,10 @@ class _BatchedKernel:
             return B @ self.AinvT
         return self.fact.solve_rows(B)
 
-    def solve_block(self, B: np.ndarray, X0: np.ndarray,
-                    context: str) -> tuple[np.ndarray, list[int]]:
-        """Newton-solve all rows of ``B`` from the ``X0`` block.
+    def solve_from_u(self, U: np.ndarray, X0: np.ndarray,
+                     context: str) -> tuple[np.ndarray, list[int]]:
+        """Newton-solve every row of ``B`` from the ``X0`` block, given
+        ``U = A⁻¹B`` (:meth:`base_rows`).
 
         Returns ``(X, failed)`` where ``failed`` lists candidate indices
         that did not converge (singular per-candidate Jacobian or
@@ -333,17 +300,9 @@ class _BatchedKernel:
         recomputed by the caller through the scalar ladder.  Iteration
         ordering per candidate mirrors the scalar kernel exactly:
         compute delta, clamp to the damping limit, apply, accept on the
-        *unclamped* step norm.
-        """
-        return self.solve_from_u(self.base_rows(B), X0, context)
-
-    def solve_from_u(self, U: np.ndarray, X0: np.ndarray,
-                     context: str) -> tuple[np.ndarray, list[int]]:
-        """:meth:`solve_block` with the base solve already applied.
-
-        ``U = A⁻¹B`` — the transient loop assembles it directly from
-        ``X_prev @ HchT`` plus the precomputed RHS term, so no per-step
-        linear solve remains anywhere on the hot path.
+        *unclamped* step norm.  The transient loop assembles ``U``
+        directly from ``X_prev @ HchT`` plus the precomputed RHS term,
+        so no per-step linear solve remains anywhere on the hot path.
         """
         _fire_fault("newton.batched", context)
         _SOLVES.inc()
@@ -460,85 +419,24 @@ class _BatchedKernel:
                    active: np.ndarray, failed: list[int],
                    start_iteration: int) -> tuple[np.ndarray, list[int]]:
         """Run the remaining active candidates to convergence, one at a
-        time, through the dispatch-free scalar loop (``_pyt`` tables).
+        time, through the shared dispatch-free loop
+        (:func:`~repro.sim.nonlinear._woodbury_py`).
 
-        Identical iteration semantics to the block path — per-candidate
-        damping, acceptance on the unclamped step norm, iteration
-        numbering continued from ``start_iteration``, singular systems
-        demoted to ``failed`` — just without numpy's per-call overhead,
-        which dominates once only a straggler or two remain active.
+        Same iteration semantics as the block path — iteration numbering
+        continues from ``start_iteration``, and a singular system or the
+        iteration cap demotes the candidate to ``failed`` — just without
+        numpy's per-call overhead, which dominates once only a straggler
+        or two remain active.
         """
-        gdev, W_rows, stamp_rows, devs, dim, k = self._pyt
         iters = 0
         for c in active.tolist():
-            u = U[c].tolist()
-            x = X[c].tolist()
-            x.append(0.0)  # ground slot for the gather indices
-            rng = range(dim)
-            converged = False
-            for iteration in range(start_iteration,
-                                   _MAX_ITERATIONS + 1):
-                iters += 1
-                y = [ul - xl for ul, xl in zip(u, x)]
-                D = []
-                append_d = D.append
-                for (sg, be, vt, lm, gm, g, d, s), grow in zip(devs,
-                                                               gdev):
-                    cur, dgg, ddd, dss = evaluate_one(
-                        sg, be, vt, lm, gm, x[g], x[d], x[s])
-                    append_d((dgg, ddd, dss))
-                    for j in rng:
-                        y[j] += cur * grow[j]
-                if k == 2:
-                    s00 = s11 = 1.0
-                    s01 = s10 = r0 = r1 = 0.0
-                    for src, dev, col, sign, tw0, tw1 in stamp_rows[0]:
-                        de = D[dev][src]
-                        r0 += de * sign * y[col]
-                        s00 += de * tw0
-                        s01 += de * tw1
-                    for src, dev, col, sign, tw0, tw1 in stamp_rows[1]:
-                        de = D[dev][src]
-                        r1 += de * sign * y[col]
-                        s10 += de * tw0
-                        s11 += de * tw1
-                    det = s00 * s11 - s01 * s10
-                    if det == 0.0:
-                        break  # singular: this candidate fails
-                    z0 = (s11 * r0 - s01 * r1) / det
-                    z1 = (s00 * r1 - s10 * r0) / det
-                    deltas = [yj - w[0] * z0 - w[1] * z1
-                              for yj, w in zip(y, W_rows)]
-                else:  # k == 1
-                    s00 = 1.0
-                    r0 = 0.0
-                    for src, dev, col, sign, tw0 in stamp_rows[0]:
-                        de = D[dev][src]
-                        r0 += de * sign * y[col]
-                        s00 += de * tw0
-                    if s00 == 0.0:
-                        break
-                    z0 = r0 / s00
-                    deltas = [yj - w[0] * z0
-                              for yj, w in zip(y, W_rows)]
-                step = 0.0
-                for dlt in deltas:
-                    ad = -dlt if dlt < 0.0 else dlt
-                    if ad > step:
-                        step = ad
-                if step > _DAMP_LIMIT:
-                    scale = _DAMP_LIMIT / step
-                    for j in rng:
-                        x[j] += deltas[j] * scale
-                else:
-                    for j in rng:
-                        x[j] += deltas[j]
-                if step < _VTOL:
-                    _ITERATIONS.observe(iteration)
-                    converged = True
-                    break
-            X[c] = x[:dim]
-            if not converged:
+            x, used, outcome, _ = _woodbury_py(
+                self._pyt, U[c].tolist(), X[c].tolist(), start_iteration)
+            iters += used
+            X[c] = x[:-1]
+            if outcome == _CONVERGED:
+                _ITERATIONS.observe(start_iteration + used - 1)
+            else:
                 failed.append(int(c))
         _ACTIVE.inc(iters)
         return X, failed
@@ -623,8 +521,8 @@ def simulate_nonlinear_batch(circuit: Circuit,
 
     ``x0`` may be a single ``(dim,)`` state (broadcast to every
     candidate) or an ``(S, dim)`` block.  A single-candidate batch — and
-    every batch under the legacy kernel — delegates to the scalar
-    :func:`simulate_nonlinear`, bit-identically.
+    every batch inside :func:`~repro.sim.nonlinear.dense_reference` —
+    delegates to the scalar :func:`simulate_nonlinear`, bit-identically.
     """
     if not stimuli:
         raise ValueError(
@@ -658,9 +556,9 @@ def simulate_nonlinear_batch(circuit: Circuit,
                 f"x0 must have shape ({dim},) or ({S}, {dim}), "
                 f"got {x0.shape}")
 
-    if S == 1 or _nl._KERNEL_MODE != "fast":
+    if S == 1 or _nl._REFERENCE:
         # One candidate gains nothing from batching (and the scalar
-        # path is the bit-exactness reference); the legacy kernel has
+        # path is the bit-exactness reference); the dense reference has
         # no batched form at all.
         return [
             _simulate_with_overrides(
@@ -772,7 +670,7 @@ def simulate_nonlinear_batch(circuit: Circuit,
             _FALLBACK.inc()
             if scalar_solve is None:
                 scalar_solve = _cached_solver(
-                    mna, (_nl._KERNEL_MODE, _trust.trust_enabled(), h),
+                    mna, (_trust.trust_enabled(), h),
                     lambda: (make(kernel.Ch + G), kernel.Ch))[0]
             overrides = stimuli[c]
             x_prev = X_prev[c].copy()
@@ -796,7 +694,7 @@ def simulate_nonlinear_batch(circuit: Circuit,
             collapsed_at = k
             if scalar_solve is None:
                 scalar_solve = _cached_solver(
-                    mna, (_nl._KERNEL_MODE, _trust.trust_enabled(), h),
+                    mna, (_trust.trust_enabled(), h),
                     lambda: (make(kernel.Ch + G), kernel.Ch))[0]
 
     if collapsed_at is not None:

@@ -16,39 +16,37 @@ stiff gate nodes) with a damped Newton solve per step.  Voltage updates
 are clamped to ±0.5 V per iteration — the standard SPICE-style limiting
 that keeps the square-law device from overshooting across regions.
 
-Fast kernel
+Newton core
 -----------
-On a uniform grid the backward-Euler matrix ``A = C/h + G`` is constant
-for the *whole* simulation; only the device contribution to the Jacobian
-``J = A + ΔJ(x)`` moves between Newton iterations, and ``ΔJ`` touches
-only the rows of device drain/source nodes.  The default kernel exploits
-both facts:
+On a uniform grid ``A = C/h + G`` is constant for the whole simulation;
+only the device part of the Jacobian ``J = A + ΔJ(x)`` moves, and it
+touches only the ``k`` device drain/source rows.  :class:`_NewtonKernel`
+exploits both facts:
 
-* ``A`` is factored once per grid (:mod:`repro.sim.factor`, shared with
-  the linear solver) and every Newton iteration is solved through the
-  Sherman–Morrison–Woodbury identity: with ``ΔJ = E_R M`` (``E_R``
-  selecting the ``k`` device-touched rows),
+* one routing rule (:func:`_woodbury_base`, shared with the batched
+  kernel) admits ``A`` as a factored base when ``2k <= dim``, the
+  factorization succeeds and its reciprocal condition estimate reaches
+  the trust layer's ``rcond_min``.  Each iteration is then solved
+  through the Sherman–Morrison–Woodbury identity (``ΔJ = E_R M``):
 
       J⁻¹ = A⁻¹ − A⁻¹ E_R (I_k + M A⁻¹ E_R)⁻¹ M A⁻¹,
 
-  where ``W = A⁻¹ E_R`` is also precomputed once per grid — so an
-  iteration costs two triangular solves plus a ``k×k`` solve instead of
-  a dense ``O(n³)`` factorization (``newton.woodbury`` counts these);
-* when ``k`` is large relative to the system (or ``A`` itself is
-  singular, e.g. nodes held only by devices at DC), a modified-Newton
-  scheme factors the *full* Jacobian, reuses the stale factors while the
-  step norm keeps contracting, and re-factors on stalls and for the
-  final accepted step (``newton.jacobian_refresh`` counts the
-  factorizations);
-* device currents and derivatives are evaluated for the whole
-  population at once through :func:`repro.devices.evaluate_batch`, with
-  precomputed index arrays and ``np.add.at`` scatter instead of a
-  per-device Python stamping loop.
+  with ``W = A⁻¹ E_R`` precomputed once per grid — two triangular
+  solves plus a ``k×k`` solve per iteration (``newton.woodbury``);
+* for a handful of nodes and one or two devices the Woodbury iteration
+  runs dispatch-free on Python floats (:func:`_woodbury_py`), the loop
+  the batched kernel also finishes its stragglers with;
+* a base the rule rejects (e.g. nodes held only by devices at DC, where
+  ``G`` is singular or nearly so) routes to exact Newton: a fresh full
+  Jacobian at every iterate (``newton.jacobian_refresh``);
+* devices are evaluated as one population
+  (:func:`repro.devices.evaluate_batch`) and stamped by ``np.add.at``
+  scatter over precomputed index arrays.
 
-The pre-rework dense kernel (re-stamp + ``np.linalg.solve`` per
-iteration) is retained behind :func:`kernel_mode` — it is the reference
-the equivalence tests and the differential audit
-(:func:`repro.trust.run_audit`) compare against.
+Inside :func:`dense_reference` every solve runs :func:`_reference_solve`
+instead: a minimal dense Newton sharing no code with the kernel above —
+the oracle of the equivalence tests, the differential audit
+(:func:`repro.trust.run_audit`) and the trust ladder's last hop.
 
 Recovery ladder
 ---------------
@@ -74,10 +72,10 @@ converged state (ill-conditioned base factorization, corrupted Woodbury
 update).  When :mod:`repro.trust` is enabled (the default), every fast
 kernel built here is wrapped in :class:`_VerifiedSolve`: accepted
 states get a finiteness guard on every solve and a sampled relative
-residual audit, and a violation walks the escalation ladder —
-fresh-factor exact Newton, then the legacy dense kernel (densified
-from sparse when needed) — re-verifying after each hop and recording
-it through :func:`repro.trust.record_event`.  A violation the whole
+residual audit, and a violation walks the escalation ladder — exact
+Newton, then the dense reference (densified from sparse when needed) —
+re-verifying after each hop and recording it through
+:func:`repro.trust.record_event`.  A violation the whole
 ladder cannot repair raises :class:`TrustViolation`, a
 :class:`ConvergenceError` subclass, so the dt-bisection and DC
 recovery ladders above still get their shot before the net is failed.
@@ -94,7 +92,7 @@ import numpy as np
 
 from repro import trust as _trust
 from repro.circuit.mna import MnaSystem, build_mna
-from repro.circuit.netlist import GROUND, Circuit
+from repro.circuit.netlist import Circuit
 from repro.devices.mosfet import batch_params, evaluate_batch, evaluate_one
 from repro.obs import metrics
 from repro.resilience.faults import InjectedCorruption
@@ -109,25 +107,12 @@ except ImportError:  # pragma: no cover
     _sp = None
 
 __all__ = ["simulate_nonlinear", "dc_operating_point", "ConvergenceError",
-           "TrustViolation", "kernel_mode", "set_kernel_mode"]
+           "TrustViolation"]
 
 #: Maximum Newton voltage update per iteration [V].
 _DAMP_LIMIT = 0.5
 _MAX_ITERATIONS = 100
 _VTOL = 1e-6
-
-#: Modified Newton: refresh the stale Jacobian factors when an iteration
-#: fails to contract the step norm below this fraction of the previous.
-_STALL_RATIO = 0.5
-
-#: Modified Newton: system size below which every iteration refreshes
-#: (plain Newton with vectorized stamping).  Reusing stale factors
-#: trades extra (linearly converging) iterations for cheaper solves —
-#: a win only when applying cached factors is much cheaper than a dense
-#: solve, which needs the O(n^3)/O(n^2) gap of a big system.  At small
-#: dims rebuild+solve costs the same as a stale solve, so stale reuse
-#: would only add iterations.
-_MODIFIED_STALE_MIN = 96
 
 #: Population size below which device evaluation goes through the scalar
 #: reference path instead of :func:`evaluate_batch`.  numpy dispatch
@@ -155,9 +140,9 @@ _RECOVERED_GMIN = metrics().counter("newton.recovered.gmin")
 _RECOVERED_RAMP = metrics().counter("newton.recovered.source_ramp")
 #: Newton iterations solved through the factored base + Woodbury update.
 _WOODBURY = metrics().counter("newton.woodbury")
-#: Full-Jacobian factorizations performed by the modified-Newton path.
+#: Full-Jacobian rebuilds performed by the exact-Newton path.
 _REFRESH = metrics().counter("newton.jacobian_refresh")
-#: Per-(mode, step-size) solver kernel reuse across simulate calls: a
+#: Per-(trust, step-size) solver kernel reuse across simulate calls: a
 #: hit means the backward-Euler matrix was *not* re-factored.
 _FACTOR_HIT = metrics().counter("sim.factor_cache.hit")
 _FACTOR_MISS = metrics().counter("sim.factor_cache.miss")
@@ -179,57 +164,33 @@ class TrustViolation(ConvergenceError):
 
 
 # ----------------------------------------------------------------------
-# Kernel selection
+# Dense reference selection
 # ----------------------------------------------------------------------
-_KERNEL_MODES = ("fast", "legacy")
-_KERNEL_MODE = "fast"
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Select the Newton kernel (``"fast"`` or ``"legacy"``).
-
-    Returns the previous mode.  The legacy kernel is the pre-rework
-    dense solver (full re-stamp and ``np.linalg.solve`` per iteration);
-    it exists for equivalence testing and the differential audit, not
-    production use.
-    """
-    global _KERNEL_MODE
-    if mode not in _KERNEL_MODES:
-        raise ValueError(f"kernel mode must be one of {_KERNEL_MODES}, "
-                         f"got {mode!r}")
-    previous = _KERNEL_MODE
-    _KERNEL_MODE = mode
-    return previous
+#: True inside :func:`dense_reference`: every solve then runs
+#: :func:`_reference_solve` instead of the fast kernel.
+_REFERENCE = False
 
 
 @contextmanager
-def kernel_mode(mode: str):
-    """Context manager pinning the Newton kernel for a code block."""
-    previous = set_kernel_mode(mode)
+def dense_reference(enabled: bool = True):
+    """Run a code block's non-linear solves on the dense reference.
+
+    The reference (:func:`_reference_solve`) exists for equivalence
+    testing and the differential audit, not production use.  The
+    previous selection is restored on exit.
+    """
+    global _REFERENCE
+    previous = _REFERENCE
+    _REFERENCE = enabled
     try:
         yield
     finally:
-        set_kernel_mode(previous)
+        _REFERENCE = previous
 
 
 # ----------------------------------------------------------------------
-# Device access: legacy per-device stamps and vectorized batch
+# Vectorized device population
 # ----------------------------------------------------------------------
-class _DeviceStamps:
-    """Pre-resolved node indices for fast per-iteration device stamping."""
-
-    __slots__ = ("device", "ig", "id_", "is_")
-
-    def __init__(self, device, node_index):
-        self.device = device
-        self.ig = node_index.get(device.gate, -1) \
-            if device.gate != GROUND else -1
-        self.id_ = node_index.get(device.drain, -1) \
-            if device.drain != GROUND else -1
-        self.is_ = node_index.get(device.source, -1) \
-            if device.source != GROUND else -1
-
-
 class _DeviceBatch:
     """Vectorized device population with precomputed scatter maps.
 
@@ -241,7 +202,7 @@ class _DeviceBatch:
     """
 
     __slots__ = ("n", "dim", "params", "ig", "id_", "is_", "rows", "k",
-                 "f_idx", "f_dev", "f_sign", "f_sign_neg", "m_flat",
+                 "f_idx", "f_dev", "f_sign_neg", "m_flat",
                  "m_src", "m_dev", "m_sign", "gather", "scalar_devs",
                  "_mbuf")
 
@@ -276,14 +237,13 @@ class _DeviceBatch:
         self.rows = np.unique(touched)  # sorted device-touched rows
         self.k = int(self.rows.size)
 
-        # Residual scatter: +i into drain rows, -i into source rows
-        # (f_sign_neg is the precomputed flip for negated-residual form).
+        # Residual scatter: +i into drain rows, -i into source rows,
+        # with the signs flipped for the negated-residual form.
         self.f_idx = np.concatenate([self.id_[mask_d], self.is_[mask_s]])
         self.f_dev = np.concatenate([np.nonzero(mask_d)[0],
                                      np.nonzero(mask_s)[0]])
-        self.f_sign = np.concatenate([np.ones(int(mask_d.sum())),
-                                      -np.ones(int(mask_s.sum()))])
-        self.f_sign_neg = -self.f_sign
+        self.f_sign_neg = np.concatenate([-np.ones(int(mask_d.sum())),
+                                          np.ones(int(mask_s.sum()))])
 
         # Jacobian scatter into the k x dim correction block M: flat
         # index, derivative source (0=dg, 1=dd, 2=ds), device index and
@@ -350,11 +310,11 @@ class _DeviceBatch:
         return M
 
     # -- batched multi-candidate variants ------------------------------
-    # Same math as evaluate/sub_currents/correction with a leading
-    # candidate axis ``a`` (the *active* subset of an (S, dim) block).
-    # They always go through evaluate_batch: with a >= 2 candidates the
-    # population is a*n and the scalar-crossover argument above no
-    # longer applies.
+    # Same math as evaluate/sub_currents with a leading candidate axis
+    # ``a`` (the rows of an (S, dim) block: the batched kernel's
+    # residual audit).  Always through evaluate_batch: with a >= 2
+    # candidates the population is a*n and the scalar crossover above
+    # no longer applies.
     def evaluate_many(self, X: np.ndarray):
         """Currents ``(a, n)`` and derivatives ``(a, 3, n)`` at each row
         of the ``(a, dim)`` state block ``X``."""
@@ -372,24 +332,6 @@ class _DeviceBatch:
             a = R.shape[0]
             np.add.at(R, (np.arange(a)[:, None], self.f_idx[None, :]),
                       self.f_sign_neg * i[:, self.f_dev])
-
-    def correction_many(self, D: np.ndarray) -> np.ndarray:
-        """Per-candidate Jacobian correction blocks ``(a, k, dim)``.
-
-        Unlike :meth:`correction` this allocates (the active-set size
-        changes between iterations, so a fixed scratch buffer would
-        churn anyway).
-        """
-        a = D.shape[0]
-        M = np.zeros((a, self.k * self.dim))
-        if self.m_flat.size:
-            np.add.at(M, (np.arange(a)[:, None], self.m_flat[None, :]),
-                      self.m_sign * D[:, self.m_src, self.m_dev])
-        return M.reshape(a, self.k, self.dim)
-
-
-def _voltage_at(x: np.ndarray, index: int) -> float:
-    return x[index] if index >= 0 else 0.0
 
 
 try:  # Low-overhead LAPACK entry for the tiny k x k Woodbury system:
@@ -431,61 +373,45 @@ def _raise_nonconverged(residuals: np.ndarray, applied: float,
 
 
 # ----------------------------------------------------------------------
-# Legacy dense kernel (pre-rework reference)
+# Dense reference: the oracle every fast path is held to
 # ----------------------------------------------------------------------
-def _residual_at(base_residual_of, devices: list[_DeviceStamps],
-                 x: np.ndarray) -> np.ndarray:
-    """Full residual ``F(x)`` (linear part + device currents).
-
-    Used only by the non-convergence diagnostic: the iteration loop
-    assembles F and J together inline for speed.
-    """
-    F = base_residual_of(x)
-    for ds in devices:
-        i, _, _, _ = ds.device.evaluate(_voltage_at(x, ds.ig),
-                                        _voltage_at(x, ds.id_),
-                                        _voltage_at(x, ds.is_))
-        if ds.id_ >= 0:
-            F[ds.id_] += i
-        if ds.is_ >= 0:
-            F[ds.is_] -= i
-    return F
+def _reference_devices(circuit: Circuit, mna: MnaSystem) -> list[tuple]:
+    """``(mosfet, gate_row, drain_row, source_row)`` per device, with
+    ``-1`` for a grounded terminal."""
+    return [(m, mna.row_of(m.gate), mna.row_of(m.drain),
+             mna.row_of(m.source)) for m in circuit.mosfets]
 
 
-def _newton_solve(base_jacobian: np.ndarray, base_residual_of,
-                  devices: list[_DeviceStamps], x: np.ndarray,
-                  context: str) -> np.ndarray:
-    """Damped Newton on ``F(x) = base_residual(x) + device_currents(x)``.
+def _reference_solve(A: np.ndarray, b: np.ndarray, devices: list[tuple],
+                     x: np.ndarray, context: str) -> np.ndarray:
+    """Dense damped Newton on ``F(x) = A x + i_dev(x) - b``.
 
-    ``base_jacobian`` is the (constant) linear part of dF/dx;
-    ``base_residual_of(x)`` returns the linear part of F(x).  This is
-    the pre-rework dense kernel: devices are stamped one at a time and
-    the full Jacobian is factored from scratch every iteration.
+    Each MOSFET is stamped from its own :meth:`Mosfet.evaluate
+    <repro.devices.mosfet.Mosfet.evaluate>` and the full Jacobian is
+    solved by ``np.linalg.solve`` at every iterate: no factor reuse, no
+    Woodbury update, no vectorized device model.  Damping, acceptance
+    and the non-convergence diagnostic match the fast kernel's.
     """
     _fire_fault("newton.step", context)
+
+    def assemble(x):
+        F = A @ x - b
+        J = A.copy()
+        xg = np.append(x, 0.0)  # row -1 (ground) reads this 0 V slot
+        for device, g, d, s in devices:
+            i, di_g, di_d, di_s = device.evaluate(xg[g], xg[d], xg[s])
+            for row, sign in ((d, 1.0), (s, -1.0)):
+                if row >= 0:
+                    F[row] += sign * i
+                    for col, di in ((g, di_g), (d, di_d), (s, di_s)):
+                        if col >= 0:
+                            J[row, col] += sign * di
+        return F, J
+
     x = x.copy()
+    step = 0.0
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        F = base_residual_of(x)
-        J = base_jacobian.copy()
-        for ds in devices:
-            vg = _voltage_at(x, ds.ig)
-            vd = _voltage_at(x, ds.id_)
-            vs = _voltage_at(x, ds.is_)
-            i, dg, dd, dsrc = ds.device.evaluate(vg, vd, vs)
-            if ds.id_ >= 0:
-                F[ds.id_] += i
-                if ds.ig >= 0:
-                    J[ds.id_, ds.ig] += dg
-                J[ds.id_, ds.id_] += dd
-                if ds.is_ >= 0:
-                    J[ds.id_, ds.is_] += dsrc
-            if ds.is_ >= 0:
-                F[ds.is_] -= i
-                if ds.ig >= 0:
-                    J[ds.is_, ds.ig] -= dg
-                if ds.id_ >= 0:
-                    J[ds.is_, ds.id_] -= dd
-                J[ds.is_, ds.is_] -= dsrc
+        F, J = assemble(x)
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -499,10 +425,172 @@ def _newton_solve(base_jacobian: np.ndarray, base_residual_of,
         if step < _VTOL:
             _ITERATIONS.observe(iteration)
             return x
-    # Diagnose the iterate we actually stopped at: the loop's F was
-    # assembled *before* the final `x += delta`, so re-evaluate.
-    residuals = np.abs(_residual_at(base_residual_of, devices, x))
-    _raise_nonconverged(residuals, _applied_step(step), context)
+    _raise_nonconverged(np.abs(assemble(x)[0]), _applied_step(step),
+                        context)
+
+
+def _dense(A):
+    """``A`` as a dense array (the reference re-stamps dense)."""
+    return A.toarray() if is_sparse_matrix(A) else A
+
+
+# ----------------------------------------------------------------------
+# Shared Woodbury pieces (scalar and batched kernels)
+# ----------------------------------------------------------------------
+def _woodbury_base(A, batch: _DeviceBatch):
+    """The routing rule: may a kernel run Woodbury over a factored ``A``?
+
+    Yes when ``2k <= dim``, the factorization succeeds and its
+    reciprocal condition estimate is at least the trust layer's
+    ``rcond_min``: a factor that only rounding kept from being singular
+    (``G`` with nodes held only by devices at DC) makes ``W``
+    meaningless, and Woodbury then accepts a wrong state on its step
+    size.  The test runs with the trust layer on or off (``factorize``
+    has cached the estimate when it is on).  Returns ``(fact, W)`` with
+    ``W = A⁻¹ E_R`` (``None`` when ``k`` is 0), or ``None`` for exact
+    Newton.
+    """
+    dim = A.shape[0]
+    if 2 * batch.k > dim:
+        return None
+    try:
+        fact = factorize(A)
+    except np.linalg.LinAlgError:
+        return None
+    rcond = fact.rcond_estimate()
+    if rcond is not None and rcond < _trust.config().rcond_min:
+        return None
+    W = None
+    if batch.k:
+        selector = np.zeros((dim, batch.k))
+        selector[batch.rows, np.arange(batch.k)] = 1.0
+        W = fact.solve(selector)
+    return fact, W
+
+
+def _device_gains(batch: _DeviceBatch, fact) -> np.ndarray:
+    """``A⁻¹F``: row ``d`` replays device ``d``'s (negated)
+    residual-current scatter through the base solve, so
+    ``A⁻¹(b - A x - scatter(i)) == A⁻¹b - x + i @ gains``."""
+    F = np.zeros((batch.n, batch.dim))
+    if batch.f_idx.size:
+        np.add.at(F, (batch.f_dev, batch.f_idx), batch.f_sign_neg)
+    return fact.solve_rows(F)
+
+
+def _py_tables(batch: _DeviceBatch, fact, W: np.ndarray, *,
+               gmin_folded: bool, gains: np.ndarray | None = None):
+    """Tables of the dispatch-free loop (:func:`_woodbury_py`), or
+    ``None`` outside the sizes where it wins.
+
+    At a handful of nodes and one or two devices every numpy call on
+    the iteration path is dominated by dispatch overhead (the economics
+    of ``_BATCH_EVAL_MIN``).  Folding the scatter maps through ``A⁻¹``
+    once turns an iteration into ~150 float operations with *zero*
+    array temporaries: ``gains`` (:func:`_device_gains`, computed here
+    unless passed) replaces the residual scatter and its base solve,
+    and each Jacobian stamp carries its gather coordinates and its
+    precontracted row of ``M W``, so the ``k×k`` Woodbury system
+    accumulates in scalar registers and is solved in closed form
+    (``k <= 2``).  ``gmin_folded`` says the devices' gmin shunt already
+    sits in ``A``: the device model then runs channel-only.
+    """
+    n, dim, k = batch.n, batch.dim, batch.k
+    if not (n and n < _BATCH_EVAL_MIN and k in (1, 2) and dim <= 24):
+        return None
+    if gains is None:
+        gains = _device_gains(batch, fact)
+    W_rows = [tuple(row) for row in W.tolist()]
+    stamp_rows: list[list[tuple]] = [[] for _ in range(k)]
+    for e in range(batch.m_flat.size):
+        pos, col = divmod(int(batch.m_flat[e]), dim)
+        sign = float(batch.m_sign[e])
+        tw = tuple(sign * w for w in W_rows[col])
+        stamp_rows[pos].append(
+            (int(batch.m_src[e]), int(batch.m_dev[e]), col, sign) + tw)
+    devs = batch.scalar_devs
+    if gmin_folded:
+        devs = [(sg, be, vt, lm, 0.0, g, d, s)
+                for sg, be, vt, lm, _gm, g, d, s in devs]
+    return ([tuple(row) for row in gains.tolist()], W_rows, stamp_rows,
+            devs, dim, k)
+
+
+#: Outcomes of :func:`_woodbury_py`.
+_CONVERGED, _SINGULAR_K, _CAPPED = "converged", "singular", "capped"
+
+
+def _woodbury_py(tables, u: list, x: list, first: int):
+    """Dispatch-free Woodbury Newton from iteration number ``first`` on.
+
+    ``tables`` come from :func:`_py_tables`; ``u = A⁻¹b`` and the start
+    state ``x`` are plain lists (``x`` gains the ground slot in place).
+    Damping and acceptance match every other Newton loop here.  Returns
+    ``(x, used, outcome, step)``: the state (ground slot included), the
+    iterations run, ``_CONVERGED``, ``_SINGULAR_K`` (singular ``k×k``
+    system, so a singular Jacobian) or ``_CAPPED``, and the last step
+    norm.
+    """
+    gdev, W_rows, stamp_rows, devs, dim, k = tables
+    x.append(0.0)
+    rng = range(dim)
+    step = 0.0
+    for iteration in range(first, _MAX_ITERATIONS + 1):
+        y = [ul - xl for ul, xl in zip(u, x)]
+        D = []
+        append_d = D.append
+        for (sg, be, vt, lm, gm, g, d, s), grow in zip(devs, gdev):
+            cur, dgg, ddd, dss = evaluate_one(sg, be, vt, lm, gm,
+                                              x[g], x[d], x[s])
+            append_d((dgg, ddd, dss))
+            for j in rng:
+                y[j] += cur * grow[j]
+        if k == 2:
+            s00 = s11 = 1.0
+            s01 = s10 = r0 = r1 = 0.0
+            for src, dev, col, sign, tw0, tw1 in stamp_rows[0]:
+                de = D[dev][src]
+                r0 += de * sign * y[col]
+                s00 += de * tw0
+                s01 += de * tw1
+            for src, dev, col, sign, tw0, tw1 in stamp_rows[1]:
+                de = D[dev][src]
+                r1 += de * sign * y[col]
+                s10 += de * tw0
+                s11 += de * tw1
+            det = s00 * s11 - s01 * s10
+            if det == 0.0:
+                return x, iteration - first + 1, _SINGULAR_K, step
+            z0 = (s11 * r0 - s01 * r1) / det
+            z1 = (s00 * r1 - s10 * r0) / det
+            deltas = [yj - w[0] * z0 - w[1] * z1
+                      for yj, w in zip(y, W_rows)]
+        else:  # k == 1
+            s00 = 1.0
+            r0 = 0.0
+            for src, dev, col, sign, tw0 in stamp_rows[0]:
+                de = D[dev][src]
+                r0 += de * sign * y[col]
+                s00 += de * tw0
+            if s00 == 0.0:
+                return x, iteration - first + 1, _SINGULAR_K, step
+            z0 = r0 / s00
+            deltas = [yj - w[0] * z0 for yj, w in zip(y, W_rows)]
+        step = 0.0
+        for dlt in deltas:
+            ad = -dlt if dlt < 0.0 else dlt
+            if ad > step:
+                step = ad
+        if step > _DAMP_LIMIT:
+            scale = _DAMP_LIMIT / step
+            for j in rng:
+                x[j] += deltas[j] * scale
+        else:
+            for j in rng:
+                x[j] += deltas[j]
+        if step < _VTOL:
+            return x, iteration - first + 1, _CONVERGED, step
+    return x, _MAX_ITERATIONS - first + 1, _CAPPED, step
 
 
 # ----------------------------------------------------------------------
@@ -511,82 +599,30 @@ def _newton_solve(base_jacobian: np.ndarray, base_residual_of,
 class _NewtonKernel:
     """Newton solver for ``F(x) = A x + i_dev(x) - b`` with ``A`` fixed.
 
-    Construction factors ``A`` once and precomputes ``W = A⁻¹ E_R``;
-    every subsequent :meth:`solve` (one per time step, in the transient
-    loop) reuses both.  Falls back to modified Newton when ``A`` is
-    singular or the device-touched row count ``k`` approaches the
-    system size.
+    Construction applies the routing rule (:func:`_woodbury_base`):
+    ``A`` is factored once and ``W = A⁻¹ E_R`` precomputed, and every
+    subsequent :meth:`solve` (one per time step, in the transient loop)
+    reuses both.  A base the rule rejects routes every solve to exact
+    Newton.
     """
 
-    __slots__ = ("A", "batch", "base_fact", "W", "_py", "_mn_J",
-                 "_mn_fact", "_mn_x", "_mn_uses")
+    __slots__ = ("A", "batch", "base_fact", "W", "_py")
 
     def __init__(self, A: np.ndarray, batch: _DeviceBatch):
         self.A = A
         self.batch = batch
-        self.base_fact = None
-        self.W = None
+        self.base_fact, self.W = _woodbury_base(A, batch) or (None, None)
         self._py = None
-        self._mn_J = None     # modified Newton: last built Jacobian,
-        self._mn_fact = None  # its (lazily built) factorization,
-        self._mn_x = None     # the iterate it was built at,
-        self._mn_uses = 0     # and how many solves reused it
-        if 2 * batch.k <= A.shape[0]:
-            try:
-                fact = factorize(A)
-            except np.linalg.LinAlgError:
-                fact = None  # e.g. nodes held only by devices at DC
-            if fact is not None:
-                self.base_fact = fact
-                if batch.k:
-                    selector = np.zeros((A.shape[0], batch.k))
-                    selector[batch.rows, np.arange(batch.k)] = 1.0
-                    self.W = fact.solve(selector)
-                if (batch.n and batch.n < _BATCH_EVAL_MIN
-                        and batch.k in (1, 2) and batch.dim <= 24):
-                    self._py = self._build_py_fast()
-
-    def _build_py_fast(self):
-        """Precompute the pure-Python Woodbury iteration's tables.
-
-        At the dims this library builds (a handful of nodes, one or two
-        devices) every numpy call on the iteration path is dominated by
-        dispatch overhead, the same economics as ``_BATCH_EVAL_MIN``.
-        Folding the scatter maps through ``A⁻¹`` once turns an iteration
-        into ~150 float operations with *zero* array temporaries:
-
-        * ``gdev[d]`` replays device ``d``'s residual-current scatter
-          through the base solve — ``A⁻¹(b - A x - scatter(i))`` becomes
-          ``u - x + Σ_d i_d · gdev[d]`` with ``u = A⁻¹ b`` hoisted out
-          of the loop;
-        * each Jacobian stamp ``e`` carries its gather coordinates and
-          its precontracted row of ``M W`` (``tw``), so the ``k×k``
-          Woodbury system accumulates in scalar registers and is solved
-          in closed form (``k <= 2``).
-        """
-        batch, fact = self.batch, self.base_fact
-        n, dim, k = batch.n, batch.dim, batch.k
-        F = np.zeros((n, dim))
-        if batch.f_idx.size:
-            np.add.at(F, (batch.f_dev, batch.f_idx), batch.f_sign_neg)
-        gdev = [tuple(row) for row in fact.solve_rows(F).tolist()]
-        W_rows = [tuple(row) for row in self.W.tolist()]
-        stamp_rows: list[list[tuple]] = [[] for _ in range(k)]
-        for e in range(batch.m_flat.size):
-            pos, col = divmod(int(batch.m_flat[e]), dim)
-            sign = float(batch.m_sign[e])
-            tw = tuple(sign * w for w in W_rows[col])
-            stamp_rows[pos].append(
-                (int(batch.m_src[e]), int(batch.m_dev[e]), col, sign)
-                + tw)
-        return gdev, W_rows, stamp_rows, batch.scalar_devs, dim, k
+        if self.base_fact is not None:
+            self._py = _py_tables(batch, self.base_fact, self.W,
+                                  gmin_folded=False)
 
     def solve(self, b: np.ndarray, x0: np.ndarray,
               context: str) -> np.ndarray:
         _fire_fault("newton.step", context)
         if self.base_fact is not None:
             return self._solve_woodbury(b, x0, context)
-        return self._solve_modified(b, x0, context)
+        return self._solve_exact(b, x0, context)
 
     # -- residual assembly --------------------------------------------
     def _residual_neg(self, x: np.ndarray, b: np.ndarray):
@@ -607,82 +643,25 @@ class _NewtonKernel:
     # -- Woodbury path -------------------------------------------------
     def _solve_woodbury_py(self, b: np.ndarray, x0: np.ndarray,
                            context: str) -> np.ndarray:
-        """Dispatch-free Woodbury Newton (see :meth:`_build_py_fast`).
+        """Dispatch-free Woodbury Newton (:func:`_woodbury_py`).
 
         Same root, damping and acceptance semantics as
         :meth:`_solve_woodbury`; the iterates differ only by the
         rounding of the algebraically identical residual form, orders
         of magnitude inside the acceptance tolerance.
         """
-        gdev, W_rows, stamp_rows, devs, dim, k = self._py
-        u = self.base_fact.solve(b).tolist()
-        x = x0.tolist()
-        x.append(0.0)  # ground slot for the device gather indices
-        rng = range(dim)
-        step = 0.0
-        for iteration in range(1, _MAX_ITERATIONS + 1):
-            y = [ul - xl for ul, xl in zip(u, x)]
-            D = []
-            append_d = D.append
-            for (sg, be, vt, lm, gm, g, d, s), grow in zip(devs, gdev):
-                cur, dgg, ddd, dss = evaluate_one(sg, be, vt, lm, gm,
-                                                  x[g], x[d], x[s])
-                append_d((dgg, ddd, dss))
-                for j in rng:
-                    y[j] += cur * grow[j]
-            if k == 2:
-                s00 = s11 = 1.0
-                s01 = s10 = r0 = r1 = 0.0
-                for src, dev, col, sign, tw0, tw1 in stamp_rows[0]:
-                    de = D[dev][src]
-                    r0 += de * sign * y[col]
-                    s00 += de * tw0
-                    s01 += de * tw1
-                for src, dev, col, sign, tw0, tw1 in stamp_rows[1]:
-                    de = D[dev][src]
-                    r1 += de * sign * y[col]
-                    s10 += de * tw0
-                    s11 += de * tw1
-                det = s00 * s11 - s01 * s10
-                if det == 0.0:
-                    _SINGULAR.inc()
-                    raise ConvergenceError(
-                        f"singular Jacobian during {context}")
-                z0 = (s11 * r0 - s01 * r1) / det
-                z1 = (s00 * r1 - s10 * r0) / det
-                deltas = [yj - w[0] * z0 - w[1] * z1
-                          for yj, w in zip(y, W_rows)]
-            else:  # k == 1
-                s00 = 1.0
-                r0 = 0.0
-                for src, dev, col, sign, tw0 in stamp_rows[0]:
-                    de = D[dev][src]
-                    r0 += de * sign * y[col]
-                    s00 += de * tw0
-                if s00 == 0.0:
-                    _SINGULAR.inc()
-                    raise ConvergenceError(
-                        f"singular Jacobian during {context}")
-                z0 = r0 / s00
-                deltas = [yj - w[0] * z0 for yj, w in zip(y, W_rows)]
-            _WOODBURY.inc()
-            step = 0.0
-            for dlt in deltas:
-                ad = -dlt if dlt < 0.0 else dlt
-                if ad > step:
-                    step = ad
-            if step > _DAMP_LIMIT:
-                scale = _DAMP_LIMIT / step
-                for j in rng:
-                    x[j] += deltas[j] * scale
-            else:
-                for j in rng:
-                    x[j] += deltas[j]
-            if step < _VTOL:
-                _ITERATIONS.observe(iteration)
-                return np.array(x[:dim])
-        xa = np.array(x[:dim])
-        residuals = np.abs(self._residual_neg(xa, b)[0])
+        x, used, outcome, step = _woodbury_py(
+            self._py, self.base_fact.solve(b).tolist(), x0.tolist(), 1)
+        if outcome == _SINGULAR_K:
+            _WOODBURY.inc(used - 1)
+            _SINGULAR.inc()
+            raise ConvergenceError(f"singular Jacobian during {context}")
+        _WOODBURY.inc(used)
+        x = np.array(x[:-1])
+        if outcome == _CONVERGED:
+            _ITERATIONS.observe(used)
+            return x
+        residuals = np.abs(self._residual_neg(x, b)[0])
         _raise_nonconverged(residuals, _applied_step(step), context)
 
     def _solve_woodbury(self, b: np.ndarray, x0: np.ndarray,
@@ -723,119 +702,54 @@ class _NewtonKernel:
         residuals = np.abs(self._residual_neg(x, b)[0])
         _raise_nonconverged(residuals, _applied_step(step), context)
 
-    # -- modified-Newton path -----------------------------------------
-    def _fresh_delta(self, D, R: np.ndarray, context: str):
-        """Rebuild the full Jacobian at the current iterate and solve.
-
-        Returns ``(J, fact, delta)``.  On the dense backend a fresh
-        direction is one dense solve and ``fact`` is ``None`` — the
-        factorization is only built (lazily, in the caller) if a later
-        stale iteration actually reuses ``J``.  On the sparse backend
-        the SuperLU factorization *is* the solve, so it is returned
-        eagerly and stale iterations reuse it for free.
-        """
+    # -- exact-Newton path --------------------------------------------
+    def _newton_step(self, D, R: np.ndarray, context: str) -> np.ndarray:
+        """Rebuild the full Jacobian at the current iterate and solve
+        it for the update (``R`` is the negated residual)."""
         _REFRESH.inc()
-        if is_sparse_matrix(self.A):
-            J = self.A
-            if self.batch.k:
+        A, batch = self.A, self.batch
+        sparse = is_sparse_matrix(A)
+        if sparse:
+            J = A
+            if batch.k:
                 # A + E_R M as a sparse sum: the k-row dense correction
                 # block expands through a (dim, k) selector.
                 expand = _sp.csr_matrix(
-                    (np.ones(self.batch.k),
-                     (self.batch.rows, np.arange(self.batch.k))),
-                    shape=(self.A.shape[0], self.batch.k))
-                J = (self.A
-                     + expand @ _sp.csr_matrix(
-                         self.batch.correction(D))).tocsc()
-            try:
-                fact = factorize(J)
-            except np.linalg.LinAlgError as exc:
-                _SINGULAR.inc()
-                raise ConvergenceError(
-                    f"singular Jacobian during {context}") from exc
-            return J, fact, fact.solve(R)
-        J = self.A.copy()
-        if self.batch.k:
-            J[self.batch.rows] += self.batch.correction(D)
+                    (np.ones(batch.k), (batch.rows, np.arange(batch.k))),
+                    shape=(A.shape[0], batch.k))
+                J = (A + expand @ _sp.csr_matrix(
+                    batch.correction(D))).tocsc()
+        else:
+            J = A.copy()
+            if batch.k:
+                J[batch.rows] += batch.correction(D)
         try:
-            return J, None, np.linalg.solve(J, R)
+            return factorize(J).solve(R) if sparse else np.linalg.solve(J, R)
         except np.linalg.LinAlgError as exc:
             _SINGULAR.inc()
             raise ConvergenceError(
                 f"singular Jacobian during {context}") from exc
 
-    def _solve_modified(self, b: np.ndarray, x0: np.ndarray,
-                        context: str) -> np.ndarray:
-        """Modified Newton: reuse a stale factored Jacobian.
+    def _solve_exact(self, b: np.ndarray, x0: np.ndarray,
+                     context: str) -> np.ndarray:
+        """Exact Newton: a fresh Jacobian at every iterate.
 
-        The matrix persists on the kernel between :meth:`solve` calls,
-        so consecutive transient steps share factors — on systems of at
-        least ``_MODIFIED_STALE_MIN`` unknowns; below that every
-        iteration is plain Newton with vectorized stamping.  A fresh
-        Jacobian is rebuilt (``newton.jacobian_refresh`` counts these):
-
-        * *before* solving, whenever the previous update was clamped by
-          the damping limit — in that walk-in regime step norms do not
-          contract, so the stall test below would refresh every
-          iteration anyway, after wasting a stale solve each time;
-        * when a stale step fails to contract below ``_STALL_RATIO``
-          times the previous step norm;
-        * before accepting convergence — the final applied update always
-          comes from a Jacobian evaluated at the current iterate, so the
-          accepted state matches exact Newton's.
+        The path for a base ``A`` the routing rule rejects, and the
+        trust ladder's first hop (nothing cached can carry a fault
+        into it).
         """
         x = x0.copy()
-        J, fact, uses = self._mn_J, self._mn_fact, self._mn_uses
-        x_built = self._mn_x
-        reuse = self.A.shape[0] >= _MODIFIED_STALE_MIN
-        # Stale factors are only trusted on big systems (see
-        # _MODIFIED_STALE_MIN) and near their linearization point: a
-        # cold restart (e.g. repeated DC solves from zeros) refreshes
-        # immediately instead of wandering on far-field directions.
-        stale = (reuse and J is not None
-                 and np.abs(x - x_built).max(initial=0.0) <= _DAMP_LIMIT)
-        prev_step = None
         step = 0.0
         for iteration in range(1, _MAX_ITERATIONS + 1):
             R, D = self._residual_neg(x, b)
-            if not stale or (prev_step is not None
-                             and prev_step > _DAMP_LIMIT):
-                J, fact, delta = self._fresh_delta(D, R, context)
-                uses, x_built = 1, x.copy()
-                stale = False
-            else:
-                try:
-                    if fact is None and uses >= 2:
-                        # Third solve against the same matrix: from here
-                        # on the factored form amortizes.
-                        fact = factorize(J)
-                    delta = (fact.solve(R) if fact is not None
-                             else np.linalg.solve(J, R))
-                except np.linalg.LinAlgError as exc:
-                    _SINGULAR.inc()
-                    raise ConvergenceError(
-                        f"singular Jacobian during {context}") from exc
-                uses += 1
+            delta = self._newton_step(D, R, context)
             step = np.abs(delta).max(initial=0.0)
-            if stale and (step < _VTOL
-                          or (prev_step is not None
-                              and step >= _STALL_RATIO * prev_step)):
-                # Stalled — or about to accept a stale direction: redo
-                # the step against a Jacobian built at this iterate.
-                J, fact, delta = self._fresh_delta(D, R, context)
-                uses, x_built = 1, x.copy()
-                stale = False
-                step = np.abs(delta).max(initial=0.0)
             if step > _DAMP_LIMIT:
                 delta *= _DAMP_LIMIT / step
             x += delta
             if step < _VTOL:
                 _ITERATIONS.observe(iteration)
-                self._mn_J, self._mn_fact = J, fact
-                self._mn_x, self._mn_uses = x_built, uses
                 return x
-            prev_step = step
-            stale = reuse
         residuals = np.abs(self._residual_neg(x, b)[0])
         _raise_nonconverged(residuals, _applied_step(step), context)
 
@@ -870,13 +784,13 @@ class _VerifiedSolve:
     installed the sampling stride is bypassed so injected corruption
     is always exercised.  On a violation the escalation ladder runs:
 
-    1. ``fresh-newton`` — exact Newton through the modified-Newton
-       path with all cached factors discarded (covers a corrupted base
-       factorization / Woodbury update);
-    2. ``legacy-dense`` / ``dense-rebuild`` — the pre-rework dense
-       kernel over a densified copy of ``A`` (covers a bad fast-path
-       anywhere; the hop is named ``dense-rebuild`` when ``A`` was
-       sparse).
+    1. ``fresh-newton`` — exact Newton, a fresh Jacobian at every
+       iterate (covers a corrupted base factorization / Woodbury
+       update);
+    2. ``dense-reference`` / ``dense-rebuild`` — the dense reference
+       (:func:`_reference_solve`) over a densified copy of ``A``
+       (covers a bad fast path anywhere; the hop is named
+       ``dense-rebuild`` when ``A`` was sparse).
 
     Each hop's result is re-verified before being trusted; each hop is
     recorded through :func:`repro.trust.record_event` so the analyzer
@@ -886,22 +800,19 @@ class _VerifiedSolve:
     *unchanged* — bit-identical to running without the wrapper.
     """
 
-    __slots__ = ("kernel", "stamps", "anorm", "tol", "interval",
-                 "count", "_legacy_A")
+    __slots__ = ("kernel", "devices", "anorm", "tol", "interval",
+                 "count", "_dense_A")
 
-    def __init__(self, kernel: _NewtonKernel,
-                 stamps: list[_DeviceStamps]):
+    def __init__(self, kernel: _NewtonKernel, devices: list[tuple]):
         cfg = _trust.config()
         self.kernel = kernel
-        self.stamps = stamps
-        self.anorm = (kernel.base_fact.anorm
-                      if kernel.base_fact is not None
-                      else _trust.matrix_norm1(kernel.A))
+        self.devices = devices
+        self.anorm = _trust.matrix_norm1(kernel.A)
         self.tol = _trust.residual_tolerance(kernel.A.shape[0],
                                              cfg.newton_rtol)
         self.interval = max(1, cfg.check_interval)
         self.count = 0
-        self._legacy_A = None
+        self._dense_A = None
 
     def _residual_of(self, x: np.ndarray, b: np.ndarray) -> float:
         R, _ = self.kernel._residual_neg(x, b)
@@ -954,30 +865,25 @@ class _VerifiedSolve:
                   *, detail: str) -> np.ndarray:
         _trust.record_event("violation", context=context, detail=detail)
         kernel = self.kernel
-        # Hop 1: fresh-factor exact Newton — drop every cached factor
-        # the suspect state may have come through.
-        kernel._mn_J = kernel._mn_fact = kernel._mn_x = None
-        kernel._mn_uses = 0
+        # Hop 1: exact Newton — no base factor or Woodbury update the
+        # suspect state may have come through.
         try:
-            x1 = kernel._solve_modified(b, x0, context)
+            x1 = kernel._solve_exact(b, x0, context)
         except ConvergenceError:
             x1 = None
         if x1 is not None and self._verified(x1, b):
             _trust.record_event("escalated", context=context,
                                 hop="fresh-newton", detail=detail)
             return x1
-        # Hop 2: the legacy dense kernel, rebuilt dense from sparse
-        # when needed — maximum independence from the fast path.
+        # Hop 2: the dense reference, rebuilt dense from sparse when
+        # needed — maximum independence from the fast path.
         hop = ("dense-rebuild" if is_sparse_matrix(kernel.A)
-               else "legacy-dense")
-        if self._legacy_A is None:
-            self._legacy_A = (kernel.A.toarray()
-                              if is_sparse_matrix(kernel.A)
-                              else kernel.A)
-        A = self._legacy_A
+               else "dense-reference")
+        if self._dense_A is None:
+            self._dense_A = _dense(kernel.A)
         try:
-            x2 = _newton_solve(A, lambda y: A @ y - b, self.stamps,
-                               x0, context)
+            x2 = _reference_solve(self._dense_A, b, self.devices, x0,
+                                  context)
         except ConvergenceError:
             x2 = None
         if x2 is not None and self._verified(x2, b):
@@ -990,38 +896,6 @@ class _VerifiedSolve:
             f"accepted solve failed verification during {context} "
             f"({detail}) and no escalation hop produced a verified "
             "state")
-
-
-def _solver_factory(mode: str, stamps: list[_DeviceStamps],
-                    batch: _DeviceBatch | None):
-    """``make(A) -> solve(b, x0, context)`` for the selected kernel.
-
-    Both kernels solve ``F(x) = A x + i_dev(x) - b = 0``; the factory
-    hides which machinery does it so the DC / transient / recovery flows
-    below are kernel-agnostic.  Fast-kernel solvers are wrapped in
-    :class:`_VerifiedSolve` while the trust layer is enabled; the
-    legacy kernel is the reference oracle the ladder escalates *to* and
-    stays unwrapped.
-    """
-    if mode == "legacy":
-        def make(A: np.ndarray):
-            if is_sparse_matrix(A):
-                # The legacy reference re-stamps and solves dense per
-                # iteration; densify up front so it stays usable as an
-                # equivalence oracle on sparse-stamped systems.
-                A = A.toarray()
-            def solve(b, x0, context):
-                return _newton_solve(A, lambda y, A=A, b=b: A @ y - b,
-                                     stamps, x0, context)
-            return solve
-        return make
-
-    def make(A: np.ndarray):
-        kernel = _NewtonKernel(A, batch)
-        if not _trust.trust_enabled():
-            return kernel.solve
-        return _VerifiedSolve(kernel, stamps)
-    return make
 
 
 # ----------------------------------------------------------------------
@@ -1119,34 +993,51 @@ def _device_batch(circuit: Circuit, mna: MnaSystem) -> _DeviceBatch:
 
 
 def _kernel_factory(circuit: Circuit, mna: MnaSystem):
-    """Solver factory for ``circuit`` under the current kernel mode.
+    """``make(A) -> solve(b, x0, context)`` for ``circuit``.
 
-    Factories are memoized per-mode on the ``mna`` object: the scatter
-    maps of :class:`_DeviceBatch` depend only on the circuit the system
-    was stamped from, so callers that hold on to an ``mna`` (e.g.
-    repeated :func:`dc_operating_point` calls) skip rebuilding them.
+    Every solver solves ``F(x) = A x + i_dev(x) - b = 0``; the factory
+    hides which machinery does it so the DC / transient / recovery
+    flows below are kernel-agnostic.  Inside :func:`dense_reference`
+    it builds :func:`_reference_solve` closures.  Otherwise it builds
+    fast kernels, wrapped in :class:`_VerifiedSolve` while the trust
+    layer is enabled; that factory is memoized on the ``mna``, because
+    the scatter maps of :class:`_DeviceBatch` depend only on the circuit
+    the system was stamped from.
     """
-    mode = _KERNEL_MODE
-    cache = mna.__dict__.setdefault("_kernel_factories", {})
-    make = cache.get(mode)
+    if _REFERENCE:
+        devices = _reference_devices(circuit, mna)
+
+        def make_reference(A):
+            A = _dense(A)
+            return lambda b, x0, context: _reference_solve(
+                A, b, devices, x0, context)
+        return make_reference
+    make = mna.__dict__.get("_kernel_factory")
     if make is None:
-        stamps = [_DeviceStamps(m, mna.node_index)
-                  for m in circuit.mosfets]
-        batch = _device_batch(circuit, mna) if mode == "fast" else None
-        make = _solver_factory(mode, stamps, batch)
-        cache[mode] = make
+        batch = _device_batch(circuit, mna)
+        devices = _reference_devices(circuit, mna)
+
+        def make(A):
+            kernel = _NewtonKernel(A, batch)
+            if not _trust.trust_enabled():
+                return kernel.solve
+            return _VerifiedSolve(kernel, devices)
+        mna.__dict__["_kernel_factory"] = make
     return make
 
 
 def _cached_solver(mna: MnaSystem, key, build):
-    """Per-``mna`` solver memoization, keyed by (kernel mode, grid).
+    """Per-``mna`` solver memoization, keyed by (trust on/off, grid).
 
     This is what makes sweeps cheap: with :func:`build_mna` returning
     the same cached system for an unchanged circuit, every candidate
     after the first reuses the already-factored backward-Euler kernel
     instead of re-running ``make(C/h + G)``.  ``sim.factor_cache.*``
-    counters expose the hit rate.
+    counters expose the hit rate.  The dense reference factors nothing
+    and is never cached.
     """
+    if _REFERENCE:
+        return build()
     cache = mna.__dict__.setdefault("_solver_cache", {})
     entry = cache.get(key)
     if entry is None:
@@ -1161,8 +1052,7 @@ def _cached_solver(mna: MnaSystem, key, build):
 def _dc_solve(mna: MnaSystem, make, rhs0: np.ndarray,
               name: str) -> np.ndarray:
     """DC operating point ``G x + i_dev(x) = rhs0`` with recovery."""
-    solve = _cached_solver(mna, (_KERNEL_MODE, _trust.trust_enabled(),
-                                 "dc"),
+    solve = _cached_solver(mna, (_trust.trust_enabled(), "dc"),
                            lambda: make(mna.G))
     try:
         return solve(rhs0, np.zeros(mna.dim),
@@ -1175,8 +1065,9 @@ def dc_operating_point(circuit: Circuit, *, at_time: float = 0.0,
                        mna: MnaSystem | None = None) -> np.ndarray:
     """DC operating point of a circuit containing MOSFETs.
 
-    Sources are evaluated at ``at_time``.  Uses the currently selected
-    Newton kernel, including the gmin / source-ramp recovery ladder.
+    Sources are evaluated at ``at_time``.  Uses the selected Newton
+    solver (see :func:`dense_reference`), including the gmin /
+    source-ramp recovery ladder.
     Pass a pre-built ``mna`` to skip re-stamping.
     """
     if mna is None:
@@ -1226,24 +1117,22 @@ def simulate_nonlinear(circuit: Circuit, t_stop: float, dt: float, *,
     def _transient_solver():
         Ch = C / h
         return make(Ch + G), Ch
-    solve, Ch = _cached_solver(
-        mna, (_KERNEL_MODE, _trust.trust_enabled(), h),
-        _transient_solver)
+    solve, Ch = _cached_solver(mna, (_trust.trust_enabled(), h),
+                               _transient_solver)
     bisect_solvers: dict = {}
     states = np.empty((mna.dim, times.size))
     states[:, 0] = x0
     x = x0
-    fast = _KERNEL_MODE == "fast"
     for k in range(1, times.size):
         b_k = Ch @ x + rhs[:, k]
-        # Fast kernel: warm-start Newton from the extrapolation of the
-        # last states — quadratic once three are available, linear
-        # before that.  On smooth stretches this saves an iteration per
-        # step; the converged solution is the same root either way
-        # (within the acceptance tolerance).
-        if fast and k >= 3:
+        # Warm-start Newton from the extrapolation of the last states —
+        # quadratic once three are available, linear before that.  On
+        # smooth stretches this saves an iteration per step; the
+        # converged solution is the same root either way (within the
+        # acceptance tolerance).
+        if k >= 3:
             guess = 3.0 * (x - states[:, k - 2]) + states[:, k - 3]
-        elif fast and k >= 2:
+        elif k == 2:
             guess = x + (x - states[:, k - 2])
         else:
             guess = x

@@ -4,8 +4,8 @@ The alignment search is only as trustworthy as the thousands of Newton
 and linear solves underneath it.  The fast kernels (Woodbury scalar,
 batched active-set, sparse SuperLU) all have failure modes that do not
 surface as nonconvergence: a silently ill-conditioned factorization or
-a stale modified-Newton Jacobian can converge to a *wrong* state and
-the report still says ``quality="exact"``.
+a corrupted Woodbury update can converge to a *wrong* state and the
+report still says ``quality="exact"``.
 
 This module provides the shared machinery; the solver stack wires it
 in:
@@ -21,15 +21,17 @@ in:
   :class:`~repro.sim.factor.Factorization` reports a reciprocal
   condition estimate through :func:`observe_factorization`; estimates
   below ``rcond_min`` raise the ``trust.condition_warnings`` counter
-  and a log warning.
+  and a log warning.  The same threshold routes a Newton kernel off a
+  base factor to exact Newton (``repro.sim.nonlinear._woodbury_base``),
+  with the layer on or off.
 * **Escalation ladder** — on a residual violation the solver walks
-  fresh-factor exact Newton -> legacy dense kernel -> dense-from-sparse
-  rebuild (implemented in ``repro.sim.nonlinear``), recording each hop
+  exact Newton -> the dense reference solve (rebuilt dense from sparse
+  when needed; implemented in ``repro.sim.nonlinear``), recording each hop
   through :func:`record_event` so the analyzer can attach a
   ``Degradation(stage="trust")`` provenance entry to the report
   instead of silently returning the suspect state.
 * **Differential audits** — :func:`run_audit` re-runs a seeded random
-  sample of screened nets through the legacy oracle kernel and
+  sample of screened nets through the dense reference solve and
   compares the headline numbers (``screen --audit-rate P``).
 
 Tolerances are deliberately conservative (orders of magnitude above
@@ -83,7 +85,8 @@ class TrustConfig:
     linear_rtol: float = 1e-9
     #: Base relative-residual budget for accepted Newton states.
     newton_rtol: float = 3e-4
-    #: Reciprocal-condition estimates below this raise a warning.
+    #: Reciprocal-condition estimates below this raise a warning, and
+    #: keep a Newton kernel from running Woodbury over the factor.
     rcond_min: float = 1e-12
     #: Full residual check every Nth accepted solve (1 = every solve).
     #: A full check costs about one Newton iteration (device evaluation
@@ -229,7 +232,7 @@ def drain_events() -> list[dict]:
 
 # -- differential audit ------------------------------------------------
 
-#: Report scalars compared against the legacy oracle.
+#: Report scalars compared against the dense-reference oracle.
 AUDIT_FIELDS = ("extra_delay_output", "extra_delay_input",
                 "pulse_height", "peak_time")
 
@@ -241,7 +244,11 @@ AUDIT_TOLERANCE = 1e-9
 def run_audit(nets, reports, analyzer, *, rate: float, seed: int = 0,
               analyze_kwargs: dict | None = None,
               tolerance: float = AUDIT_TOLERANCE) -> dict:
-    """Re-run a seeded random sample of nets through the legacy oracle.
+    """Re-run a seeded random sample of nets on the dense reference.
+
+    Every non-linear solve of the oracle run goes through
+    ``repro.sim.nonlinear.dense_reference``: a dense Newton solve that
+    shares no code with the fast kernels it audits.
 
     ``reports`` maps net name -> ``NoiseReport`` (nets that failed or
     produced degraded reports are skipped: a degraded fast-path result
@@ -253,7 +260,7 @@ def run_audit(nets, reports, analyzer, *, rate: float, seed: int = 0,
          "screened": ..., "oracle": ..., "delta": ...}, ...],
          "tolerance": ..., "ok": bool}
     """
-    from repro.sim.nonlinear import kernel_mode
+    from repro.sim.nonlinear import dense_reference
 
     analyze_kwargs = dict(analyze_kwargs or {})
     eligible = [net for net in nets
@@ -264,7 +271,7 @@ def run_audit(nets, reports, analyzer, *, rate: float, seed: int = 0,
     mismatches: list[dict] = []
     checked = 0
     for net in sampled:
-        with kernel_mode("legacy"):
+        with dense_reference():
             oracle = analyzer.analyze(net, **analyze_kwargs)
         if oracle.quality != "exact":
             log.warning("audit: oracle run for %s degraded (%s); "

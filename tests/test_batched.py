@@ -23,8 +23,9 @@ from repro.devices import default_technology, nmos_params, pmos_params
 from repro.gates import inverter
 from repro.obs import metrics
 from repro.resilience import FaultPlan, clear_faults, install_faults
-from repro.sim import kernel_mode, simulate_nonlinear, simulate_nonlinear_batch
+from repro.sim import simulate_nonlinear, simulate_nonlinear_batch
 from repro.sim.batched import _batched_kernel
+from repro.sim.nonlinear import dense_reference
 from repro.sim.result import time_grid
 from repro.units import FF, KOHM, NS, PS, UM
 from repro.waveform import noise_pulse, ramp
@@ -115,6 +116,28 @@ class TestBatchedEquivalence:
         serial = serial_reference(circuit, stimuli, 1 * NS, 0.5 * PS)
         assert_batch_matches(batched, serial)
 
+    @pytest.mark.parametrize("tail_max", [10 ** 9, 0])
+    def test_dispatch_free_tail_matches_serial(self, monkeypatch,
+                                               tail_max):
+        """The shared dispatch-free loop inside the block kernel: with
+        the tail threshold forced high every iteration of every
+        candidate runs through it, at 0 none does.  Both sweeps land on
+        the serial roots."""
+        import repro.sim.batched as batched_mod
+
+        waves = shifted_ramps(3)
+        circuit = inverter_circuit(waves[0])
+        stimuli = [{"vin": w} for w in waves]
+        mna = build_mna(circuit, allow_devices=True)
+        kernel = _batched_kernel(circuit, mna,
+                                 time_grid(0.5 * NS, 1 * PS, 0.0)[1])
+        assert kernel._pyt is not None
+        monkeypatch.setattr(batched_mod, "_PY_TAIL_MAX", tail_max)
+        batched = simulate_nonlinear_batch(circuit, stimuli, 0.5 * NS,
+                                           1 * PS)
+        serial = serial_reference(circuit, stimuli, 0.5 * NS, 1 * PS)
+        assert_batch_matches(batched, serial)
+
     def test_single_candidate_bit_identical(self):
         wave = ramp(0.2 * NS, 0.1 * NS, 0.0, VDD)
         circuit = inverter_circuit(wave)
@@ -123,17 +146,17 @@ class TestBatchedEquivalence:
         scalar = simulate_nonlinear(circuit, 1 * NS, 1 * PS)
         assert np.array_equal(batched.states, scalar.states)
 
-    def test_legacy_kernel_delegates_to_serial(self):
+    def test_dense_reference_delegates_to_serial(self):
         waves = shifted_ramps(3)
         circuit = inverter_circuit(waves[0])
         stimuli = [{"vin": w} for w in waves]
         solves = metrics().counter("newton.batched.solves")
         before = solves.value
-        with kernel_mode("legacy"):
+        with dense_reference():
             batched = simulate_nonlinear_batch(circuit, stimuli,
                                                0.5 * NS, 1 * PS)
             serial = serial_reference(circuit, stimuli, 0.5 * NS, 1 * PS)
-        assert solves.value == before  # no block solves under legacy
+        assert solves.value == before  # no block solves on the reference
         for b, s in zip(batched, serial):
             assert np.array_equal(b.states, s.states)
 
@@ -186,13 +209,13 @@ class TestActiveSetMask:
 
         active = metrics().counter("newton.batched.active")
         base = active.value
-        X, failed = kernel.solve_block(np.stack([B[0], B[1]]),
-                                       np.stack([cold, cold]), "both cold")
+        X, failed = kernel.solve_from_u(kernel.base_rows(B),
+                                        np.stack([cold, cold]), "both cold")
         both_cold = active.value - base
         assert not failed
         base = active.value
-        X, failed = kernel.solve_block(B, np.stack([x_root, cold]),
-                                       "one warm")
+        X, failed = kernel.solve_from_u(kernel.base_rows(B),
+                                        np.stack([x_root, cold]), "one warm")
         one_warm = active.value - base
         assert not failed
         # Same root either way; the warm candidate must have dropped out

@@ -1,10 +1,11 @@
-"""Fast-vs-legacy Newton kernel equivalence (property-style sweep).
+"""Fast-kernel vs dense-reference equivalence (property-style sweep).
 
-The fast kernel (shared base factorization + Woodbury updates, modified
+The fast kernel (shared base factorization + Woodbury updates, exact
 Newton fallback, vectorized device stamping) must land on the same
-transient states as the pre-rework dense solver for every circuit class
+transient states as the dense reference solve for every circuit class
 it can meet — seeded coupled-net golden circuits, device-free RC
-networks, coupling-only floating nodes — and must keep matching when
+networks, coupling-only floating nodes, device-held nodes that leave
+the base matrix singular up to rounding — and must keep matching when
 the recovery ladders (dt bisection, gmin stepping, source ramping) are
 forced through fault injection.
 """
@@ -12,18 +13,17 @@ forced through fault injection.
 import numpy as np
 import pytest
 
+from repro import trust
 from repro.bench.netgen import NetGenerator
 from repro.circuit import GROUND, Circuit
+from repro.circuit.mna import build_mna
 from repro.core.golden import golden_circuit
 from repro.devices import default_technology, nmos_params, pmos_params
 from repro.obs import metrics
 from repro.resilience import FaultPlan, clear_faults, install_faults
-from repro.sim import (
-    ConvergenceError,
-    dc_operating_point,
-    kernel_mode,
-    simulate_nonlinear,
-)
+from repro.sim import ConvergenceError, dc_operating_point, simulate_nonlinear
+from repro.sim.factor import factorize
+from repro.sim.nonlinear import dense_reference
 from repro.units import FF, KOHM, NS, PS, UM
 from repro.waveform import ramp
 
@@ -46,24 +46,26 @@ def no_leaked_faults():
 
 
 def run_both(build, t_stop, dt, plan_factory=None, x0=None):
-    """Simulate a circuit under both kernels; return (legacy, fast).
+    """Simulate a circuit on the reference and the fast kernel; return
+    (reference, fast).
 
     ``plan_factory`` builds a *fresh* fault plan per kernel run, so
     one-shot faults fire identically for both.
     """
     results = {}
-    for mode in ("legacy", "fast"):
+    for reference in (True, False):
         clear_faults()
         if plan_factory is not None:
             install_faults(plan_factory())
-        with kernel_mode(mode):
-            results[mode] = simulate_nonlinear(build(), t_stop, dt, x0=x0)
+        with dense_reference(reference):
+            results[reference] = simulate_nonlinear(build(), t_stop, dt,
+                                                    x0=x0)
         clear_faults()
-    return results["legacy"], results["fast"]
+    return results[True], results[False]
 
 
-def assert_states_match(legacy, fast, tolerance=TOLERANCE):
-    delta = float(np.abs(fast.states - legacy.states).max())
+def assert_states_match(reference, fast, tolerance=TOLERANCE):
+    delta = float(np.abs(fast.states - reference.states).max())
     assert delta <= tolerance, f"kernel state drift {delta:.3e} V"
 
 
@@ -108,9 +110,9 @@ class TestSeededPopulation:
         nonconverged = metrics().counter("newton.nonconverged")
         before = nonconverged.value
         for net in NetGenerator(seed=seed).population(2):
-            legacy, fast = run_both(lambda: golden_circuit(net),
+            reference, fast = run_both(lambda: golden_circuit(net),
                                     1 * NS, 1 * PS)
-            assert_states_match(legacy, fast)
+            assert_states_match(reference, fast)
         # No Newton solve failed on the way: a failure that a recovery
         # ladder rescued would not show in the states.
         assert nonconverged.value == before
@@ -118,37 +120,34 @@ class TestSeededPopulation:
     def test_dc_operating_points_match(self):
         for net in NetGenerator(seed=3).population(2):
             circuit = golden_circuit(net)
-            with kernel_mode("legacy"):
-                x_legacy = dc_operating_point(circuit)
-            with kernel_mode("fast"):
-                x_fast = dc_operating_point(circuit)
-            assert float(np.abs(x_fast - x_legacy).max()) <= TOLERANCE
+            with dense_reference():
+                x_reference = dc_operating_point(circuit)
+            x_fast = dc_operating_point(circuit)
+            assert float(np.abs(x_fast - x_reference).max()) <= TOLERANCE
 
 
 class TestCircuitClasses:
     def test_device_free_rc(self):
-        legacy, fast = run_both(rc_circuit, 1 * NS, 0.5 * PS)
-        assert_states_match(legacy, fast)
+        reference, fast = run_both(rc_circuit, 1 * NS, 0.5 * PS)
+        assert_states_match(reference, fast)
 
     def test_inverter(self):
         wave = ramp(0.2 * NS, 0.1 * NS, 0.0, VDD)
-        legacy, fast = run_both(lambda: inverter_circuit(wave),
+        reference, fast = run_both(lambda: inverter_circuit(wave),
                                 2 * NS, 1 * PS)
-        assert_states_match(legacy, fast)
+        assert_states_match(reference, fast)
 
     def test_coupling_only_floating_node_transient(self):
-        from repro.circuit.mna import build_mna
-
         build = floating_node_circuit
         dim = build_mna(build(), allow_devices=True).dim
-        legacy, fast = run_both(build, 1 * NS, 1 * PS, x0=np.zeros(dim))
-        assert_states_match(legacy, fast)
+        reference, fast = run_both(build, 1 * NS, 1 * PS, x0=np.zeros(dim))
+        assert_states_match(reference, fast)
 
     def test_coupling_only_floating_node_dc_fails_identically(self):
         """With no conductive path the DC Jacobian is singular; both
         kernels must walk the whole recovery ladder and raise."""
-        for mode in ("legacy", "fast"):
-            with kernel_mode(mode):
+        for reference in (True, False):
+            with dense_reference(reference):
                 with pytest.raises(ConvergenceError):
                     dc_operating_point(floating_node_circuit())
 
@@ -158,30 +157,30 @@ class TestThroughRecoveryLadders:
         wave = ramp(0.2 * NS, 0.1 * NS, 0.0, VDD)
         recovered = metrics().counter("newton.recovered.substep")
         before = recovered.value
-        legacy, fast = run_both(
+        reference, fast = run_both(
             lambda: inverter_circuit(wave), 1 * NS, 1 * PS,
             plan_factory=lambda: FaultPlan().add(
                 "newton.step", match="t=", action="convergence", times=1))
         assert recovered.value == before + 2  # once per kernel
-        assert_states_match(legacy, fast)
+        assert_states_match(reference, fast)
 
     def test_gmin_stepping(self):
         wave = ramp(0.2 * NS, 0.1 * NS, 0.0, VDD)
         recovered = metrics().counter("newton.recovered.gmin")
         before = recovered.value
-        legacy, fast = run_both(
+        reference, fast = run_both(
             lambda: inverter_circuit(wave), 0.5 * NS, 1 * PS,
             plan_factory=lambda: FaultPlan().add(
                 "newton.step", match="DC operating point",
                 action="convergence", times=1))
         assert recovered.value == before + 2
-        assert_states_match(legacy, fast)
+        assert_states_match(reference, fast)
 
     def test_source_ramp(self):
         wave = ramp(0.2 * NS, 0.1 * NS, 0.0, VDD)
         recovered = metrics().counter("newton.recovered.source_ramp")
         before = recovered.value
-        legacy, fast = run_both(
+        reference, fast = run_both(
             lambda: inverter_circuit(wave), 0.5 * NS, 1 * PS,
             plan_factory=lambda: FaultPlan()
             .add("newton.step", match="DC operating point",
@@ -189,22 +188,55 @@ class TestThroughRecoveryLadders:
             .add("newton.step", match="gmin",
                  action="convergence", times=1))
         assert recovered.value == before + 2
-        assert_states_match(legacy, fast)
+        assert_states_match(reference, fast)
+
+
+class TestIllConditionedBase:
+    """A base matrix that is singular in exact arithmetic but survives
+    factorization through rounding must not carry Woodbury updates.
+
+    An inverter holding its output low drives a π load: at DC, ``out``
+    and the far node are held only by the transistors, so ``G`` is
+    singular up to rounding.  Woodbury over that factor would accept
+    ``out`` ≈ 0.35 V on its step size alone; the true point is about
+    1 µV.
+    """
+
+    @staticmethod
+    def pi_loaded_inverter():
+        c = inverter_circuit(VDD, c_load=5 * FF)
+        c.add_resistor("rpi", "out", "far", 2.75 * KOHM)
+        c.add_capacitor("cf", "far", GROUND, 20 * FF)
+        return c
+
+    def test_base_factor_is_ill_conditioned(self):
+        mna = build_mna(self.pi_loaded_inverter(), allow_devices=True)
+        rcond = factorize(mna.G).rcond_estimate()
+        assert rcond < trust.config().rcond_min
+
+    @pytest.mark.parametrize("trusted", [True, False])
+    def test_dc_point_matches_reference(self, trusted):
+        with trust.trust_mode(trusted):
+            with dense_reference():
+                x_reference = dc_operating_point(self.pi_loaded_inverter())
+            x_fast = dc_operating_point(self.pi_loaded_inverter())
+        assert float(np.abs(x_fast - x_reference).max()) <= TOLERANCE
 
 
 class TestKernelModeSwitch:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            with kernel_mode("turbo"):
-                pass
-
     def test_context_restores_previous_mode(self):
-        from repro.sim.nonlinear import _KERNEL_MODE  # noqa: F401
         import repro.sim.nonlinear as nl
-        assert nl._KERNEL_MODE == "fast"
-        with kernel_mode("legacy"):
-            assert nl._KERNEL_MODE == "legacy"
-        assert nl._KERNEL_MODE == "fast"
+        assert nl._REFERENCE is False
+        with dense_reference():
+            assert nl._REFERENCE is True
+            with dense_reference(False):
+                assert nl._REFERENCE is False
+            assert nl._REFERENCE is True
+        assert nl._REFERENCE is False
+        with pytest.raises(RuntimeError):
+            with dense_reference():
+                raise RuntimeError("boom")
+        assert nl._REFERENCE is False
 
 
 class TestBatchScalarCrossover:

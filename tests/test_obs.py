@@ -27,7 +27,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.trace import _NULL_SPAN
-from repro.sim.nonlinear import ConvergenceError, _newton_solve
+from repro.sim.nonlinear import ConvergenceError, _reference_solve
 
 
 @pytest.fixture()
@@ -309,15 +309,12 @@ class TestRegistry:
 class TestNewtonTelemetry:
     def test_nonconvergence_message_and_counter(self):
         before = metrics().counter("newton.nonconverged").value
-        jacobian = np.eye(2)
-
-        def residual(_x):
-            # Constant non-zero residual: the damped update never
-            # shrinks below tolerance, so the solve must give up.
-            return np.array([1e9, 1.0])
-
+        # F(x) = x + [1e9, 1]: the root lies 1e9 V away, so the update,
+        # clamped to 0.5 V per iteration, never shrinks below tolerance
+        # and the solve must give up with the residual still ~1e9.
         with pytest.raises(ConvergenceError) as excinfo:
-            _newton_solve(jacobian, residual, [], np.zeros(2), "test")
+            _reference_solve(np.eye(2), np.array([-1e9, -1.0]), [],
+                             np.zeros(2), "test")
         message = str(excinfo.value)
         assert "worst residual" in message
         assert "1.000e+09" in message
@@ -328,9 +325,8 @@ class TestNewtonTelemetry:
     def test_iterations_recorded(self):
         hist = metrics().histogram("newton.iterations")
         before = hist.count
-        jacobian = np.eye(1)
-        _newton_solve(jacobian, lambda x: x - 0.25, [], np.zeros(1),
-                      "test")
+        _reference_solve(np.eye(1), np.array([0.25]), [], np.zeros(1),
+                         "test")
         assert hist.count == before + 1
 
 

@@ -360,6 +360,21 @@ class TestPoolResilience:
         assert result.stats.failures_by_type["NetTimeout"] == 1
         assert result.reports[2].quality == "exact"
 
+    @pytest.mark.parametrize("point", ["analysis.rtr",
+                                       "analysis.alignment"])
+    def test_deadline_passes_degradation_handlers(self, analyzer,
+                                                  pool_nets, point):
+        """A net whose budget runs out inside a degradable stage fails
+        as a timeout.  The stage's fallback must not swallow the
+        deadline, report the net degraded and let it run on."""
+        install_faults(FaultPlan().add(point, match="rn0", action="sleep",
+                                       seconds=600.0))
+        result = analyze_nets(pool_nets[:1], jobs=1, analyzer=analyzer,
+                              timeout=5.0, alignment="table")
+        assert result.reports == [None]
+        assert [f.error_type for f in result.failures] == ["NetTimeout"]
+        assert result.stats.failures_by_type == {"NetTimeout": 1}
+
     def test_max_failures_breaker(self, analyzer, pool_nets):
         install_faults(FaultPlan().add(
             "analysis.net", action="convergence"))

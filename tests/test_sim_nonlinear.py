@@ -171,14 +171,13 @@ class TestNonConvergenceDiagnostics:
     def test_message_reports_applied_damped_step(self):
         """The diagnostic reports the update actually applied (after the
         ±0.5 V damping clamp), not the raw undamped Newton step."""
-        from repro.sim.nonlinear import _newton_solve
+        from repro.sim.nonlinear import _reference_solve
 
-        def residual(_x):
-            # Constant residual: undamped step stays 1e9, applied 0.5 V.
-            return np.array([1e9, 1.0])
-
+        # F(x) = x + [1e9, 1]: the undamped step stays ~1e9, the
+        # applied one 0.5 V.
         with pytest.raises(ConvergenceError) as excinfo:
-            _newton_solve(np.eye(2), residual, [], np.zeros(2), "probe")
+            _reference_solve(np.eye(2), np.array([-1e9, -1.0]), [],
+                             np.zeros(2), "probe")
         message = str(excinfo.value)
         assert "last applied step 5.000e-01 V" in message
         assert "worst residual 1.000e+09" in message

@@ -7,7 +7,7 @@ clean-path audit budget as a count of residual checks, the escalation
 ladder under injected solver corruption, the adaptive hang deadline
 (including the first-net warm-up regression), the worker init-timeout
 and RSS-budget paths, the checkpoint run-hash guard, and the
-differential audit against the legacy oracle.
+differential audit against the dense reference.
 """
 
 import dataclasses
@@ -45,12 +45,12 @@ from repro.resilience import (
 from repro.resilience.faults import FaultSpec
 from repro.sim import (
     ConvergenceError,
-    kernel_mode,
     simulate_nonlinear,
     simulate_nonlinear_batch,
 )
 from repro.sim.factor import factorize
 from repro.sim.linear import simulate_linear
+from repro.sim.nonlinear import dense_reference
 from repro.units import FF, KOHM, NS, PS, UM
 from repro.waveform import ramp
 
@@ -168,7 +168,7 @@ class TestConditionMonitoring:
 class TestCleanPathBitIdentity:
     def test_scalar_transient(self):
         circuit = inverter_circuit(default_wave())
-        with kernel_mode("fast"):
+        with dense_reference(False):
             with trust.trust_mode(True):
                 on = simulate_nonlinear(circuit, 1 * NS, 1 * PS)
             with trust.trust_mode(False):
@@ -181,7 +181,7 @@ class TestCleanPathBitIdentity:
                  for i in range(3)]
         circuit = inverter_circuit(waves[0])
         stimuli = [{"vin": w} for w in waves]
-        with kernel_mode("fast"):
+        with dense_reference(False):
             with trust.trust_mode(True):
                 on = simulate_nonlinear_batch(circuit, stimuli,
                                               0.5 * NS, 1 * PS)
@@ -207,7 +207,7 @@ class TestCleanPathBitIdentity:
         circuit = inverter_circuit(default_wave())
         checks = metrics().counter("trust.residual_checks")
         before = checks.value
-        with kernel_mode("fast"), trust.trust_mode(True):
+        with dense_reference(False), trust.trust_mode(True):
             run = simulate_nonlinear(circuit, 1 * NS, 1 * PS)
         sampled = checks.value - before
         steps = run.states.shape[1] - 1
@@ -221,7 +221,7 @@ class TestEscalation:
     @pytest.mark.parametrize("kind", ["nan", "perturb"])
     def test_injected_corruption_recovers_exactly(self, kind):
         circuit = inverter_circuit(default_wave())
-        with kernel_mode("fast"), trust.trust_mode(True):
+        with dense_reference(False), trust.trust_mode(True):
             clean = simulate_nonlinear(circuit, 0.5 * NS, 1 * PS).states
             trust.drain_events()
             install_faults(FaultPlan(specs=[FaultSpec(
@@ -266,7 +266,7 @@ class TestEscalation:
                  for i in range(3)]
         circuit = inverter_circuit(waves[0])
         stimuli = [{"vin": w} for w in waves]
-        with kernel_mode("fast"), trust.trust_mode(True):
+        with dense_reference(False), trust.trust_mode(True):
             clean = simulate_nonlinear_batch(circuit, stimuli,
                                              0.5 * NS, 1 * PS)
             trust.drain_events()
@@ -441,7 +441,7 @@ class TestStaleResume:
 
 
 # ----------------------------------------------------------------------
-# Differential audit against the legacy oracle
+# Differential audit against the dense reference
 # ----------------------------------------------------------------------
 class TestRunAudit:
     @pytest.fixture()
@@ -551,7 +551,7 @@ class TestCleanPathBudget:
             return [simulate_nonlinear(golden_circuit(net), 1 * NS,
                                        1 * PS) for net in nets]
 
-        with kernel_mode("fast"):
+        with dense_reference(False):
             with trust.trust_mode(False):
                 off = run()
             solves_before, checks_before = solves.count, checks.value
