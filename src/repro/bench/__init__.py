@@ -14,8 +14,7 @@ from repro.bench.runner import (
     extra_delay_arrays,
     format_table,
     record_result,
-    run_population,
 )
 
 __all__ = ["NetGenerator", "canonical_net", "ErrorStats", "format_table",
-           "run_population", "extra_delay_arrays", "record_result"]
+           "extra_delay_arrays", "record_result"]

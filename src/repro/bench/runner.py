@@ -1,5 +1,4 @@
-"""Error statistics, table formatting and population sweeps for the
-benchmark harnesses."""
+"""Error statistics and table formatting for the benchmark harnesses."""
 
 from __future__ import annotations
 
@@ -8,12 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import get_logger
-
-__all__ = ["ErrorStats", "format_table", "run_population",
-           "extra_delay_arrays", "record_result"]
-
-log = get_logger("bench.runner")
+__all__ = ["ErrorStats", "format_table", "extra_delay_arrays",
+           "record_result"]
 
 
 @dataclass
@@ -73,37 +68,6 @@ class ErrorStats:
         if self.predicted.size < 2 or np.std(self.golden) == 0:
             return float("nan")
         return float(np.corrcoef(self.predicted, self.golden)[0, 1])
-
-
-def run_population(nets, *, jobs: int = 1, analyzer=None,
-                   timeout: float | None = None, **analyze_kwargs):
-    """Run the delay-noise analysis over a whole population.
-
-    A thin front over :func:`repro.exec.analyze_nets` for benchmark
-    sweeps: workers warm-start from the shared characterization caches,
-    per-net failures are recorded instead of aborting the sweep, and
-    the returned :class:`~repro.exec.ExecResult` carries throughput
-    stats alongside the input-ordered reports.
-
-    Telemetry rides along for free: with a tracer installed
-    (:func:`repro.obs.enable_tracing`) the sweep produces per-net spans
-    (merged in input order for ``jobs>1``) and the process-global
-    metrics registry accumulates the run's counters either way.
-    Per-net heartbeats pass through too: forward an ``on_heartbeat``
-    callback (e.g. :meth:`repro.obs.ProgressTracker.record`) in
-    ``analyze_kwargs`` to watch a long sweep live, and resource
-    samples (peak RSS, CPU split) fold into the same registry for the
-    run manifest.
-    """
-    from repro.exec import analyze_nets
-
-    result = analyze_nets(nets, jobs=jobs, analyzer=analyzer,
-                          timeout=timeout, **analyze_kwargs)
-    stats = result.stats
-    log.debug("population sweep: %d nets in %.2f s (%.2f nets/s), "
-              "failures by type: %s", stats.nets, stats.wall_time,
-              stats.nets_per_second, stats.failures_by_type or "none")
-    return result
 
 
 def extra_delay_arrays(reports) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,9 @@ Entry points mirroring the production workflow:
   export the run's telemetry, ``--checkpoint``/``--resume`` make long
   screens crash-safe (``--force-resume`` overrides the stale-config
   guard), ``--retries``/``--max-failures`` tune the worker-crash and
-  circuit-breaker policies, ``--init-timeout``/``--watchdog-factor``/
-  ``--rss-budget-mb`` configure the worker watchdog, and
+  circuit-breaker policies, ``--timeout`` bounds each net (a ``SIGALRM``
+  timer serially, the parent's watchdog under ``--jobs``),
+  ``--rss-budget-mb`` caps each worker's memory, and
   ``--audit-rate P`` re-runs a seeded sample of nets through the
   dense reference solve and fails on any mismatch.  ``--noise-threshold V``
   switches on the three-tier screen (closed-form bound, reduced-order
@@ -93,14 +94,22 @@ def _value(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(kind, low, *, strict: bool = False):
+    """An argparse ``type=`` parsing ``kind`` and requiring ``value >=
+    low`` (``value > low`` when ``strict``), so a bad value exits 2
+    with a usage message instead of a traceback."""
+    relation = ">" if strict else ">="
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,37 +204,27 @@ def build_parser() -> argparse.ArgumentParser:
                             "the run (1.0 re-checks every prune)")
     p_scr.add_argument("--hold", action="store_true",
                        help="also report worst-case hold speed-up")
-    p_scr.add_argument("--jobs", type=_positive_int, default=1,
+    p_scr.add_argument("--jobs", type=_bounded(int, 1), default=1,
                        help="worker processes for the per-net analysis "
                             "(workers warm-start from the parent's "
                             "characterization tables)")
-    p_scr.add_argument("--timeout", type=float, default=None,
+    p_scr.add_argument("--timeout", type=_bounded(float, 0, strict=True),
+                       default=None,
                        help="per-net wall-clock limit in seconds; an "
                             "overrunning net is reported as failed "
                             "instead of stalling the screen")
-    p_scr.add_argument("--init-timeout", type=float, default=None,
-                       metavar="S",
-                       help="deadline on each worker's warm-start "
-                            "restore; an overrunning initializer turns "
-                            "its nets into WorkerInitTimeout failures "
-                            "(default: 10x --timeout when set)")
-    p_scr.add_argument("--watchdog-factor", type=float, default=None,
-                       metavar="F",
-                       help="hang deadline as a multiple of the "
-                            "completed-net p95 wall time (default 4.0; "
-                            "0 disables hang detection)")
-    p_scr.add_argument("--rss-budget-mb", type=float, default=None,
-                       metavar="MB",
+    p_scr.add_argument("--rss-budget-mb",
+                       type=_bounded(float, 0, strict=True),
+                       default=None, metavar="MB",
                        help="per-worker resident-set budget; a worker "
-                            "over budget is recycled and its failed net "
-                            "retried once with the sparse MNA backend "
-                            "forced")
-    p_scr.add_argument("--retries", type=int, default=2,
+                            "over budget is recycled after the net it "
+                            "finished")
+    p_scr.add_argument("--retries", type=_bounded(int, 0), default=2,
                        help="isolated re-attempts for a net that "
                             "crashes its worker process before it is "
                             "recorded as a WorkerCrash failure")
-    p_scr.add_argument("--max-failures", type=float, default=None,
-                       metavar="N",
+    p_scr.add_argument("--max-failures", type=_bounded(float, 0),
+                       default=None, metavar="N",
                        help="circuit breaker: abort once more than N "
                             "nets fail (N >= 1 is a count, 0 < N < 1 "
                             "a fraction of the population)")
@@ -403,7 +402,6 @@ def _cmd_screen(args) -> int:
     from repro import trust
     from repro.bench.netgen import NetGenConfig, NetGenerator
     from repro.exec import TooManyFailures, analyze_nets
-    from repro.obs.progress import WATCHDOG_FACTOR
     from repro.resilience import FaultPlan, StaleCheckpoint, install_faults
 
     if args.trace:
@@ -456,8 +454,6 @@ def _cmd_screen(args) -> int:
             "preset": args.preset, "jobs": args.jobs,
             "timeout": args.timeout, "retries": args.retries,
             "audit_rate": args.audit_rate,
-            "init_timeout": args.init_timeout,
-            "watchdog_factor": args.watchdog_factor,
             "rss_budget_mb": args.rss_budget_mb,
             "noise_threshold": args.noise_threshold,
             "tier_policy": args.tier_policy
@@ -474,11 +470,8 @@ def _cmd_screen(args) -> int:
             len(nets),
             stream=progress_stream() if args.progress else None)
 
-    # 0 disables hang detection; unset keeps the library default.
-    watchdog = WATCHDOG_FACTOR if args.watchdog_factor is None \
-        else (args.watchdog_factor or None)
     rss_budget = int(args.rss_budget_mb * 2**20) \
-        if args.rss_budget_mb else None
+        if args.rss_budget_mb is not None else None
 
     # Tiered screening: triage the population first so the pool can
     # prune tier-0/1-settled nets before any worker warms nonlinear
@@ -508,9 +501,7 @@ def _cmd_screen(args) -> int:
                               checkpoint=args.checkpoint,
                               resume=args.resume,
                               force_resume=args.force_resume,
-                              init_timeout=args.init_timeout,
                               rss_budget_bytes=rss_budget,
-                              watchdog_factor=watchdog,
                               on_heartbeat=tracker.record
                               if tracker else None)
     except StaleCheckpoint as exc:
@@ -609,8 +600,7 @@ def _cmd_screen(args) -> int:
     if stats.watchdog_kills:
         summary += f" | {stats.watchdog_kills} watchdog kill(s)"
     if stats.rss_flagged:
-        summary += (f" | {stats.rss_flagged} worker(s) over RSS budget, "
-                    f"{stats.sparse_retries} net(s) retried sparse")
+        summary += f" | {stats.rss_flagged} worker(s) over RSS budget"
     out.info(summary)
 
     prune_audit = None

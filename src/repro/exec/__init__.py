@@ -11,16 +11,15 @@ throughput:
   ever re-runs a non-linear characterization simulation.
 * :mod:`repro.exec.pool` — :func:`analyze_nets`, a deterministic
   process-pool map over coupled nets with a serial ``jobs=1`` fallback,
-  structured per-net failure capture, an optional per-net timeout,
-  crash-safe worker recovery with bounded retries, a ``max_failures``
-  circuit breaker, JSONL checkpoint/resume, and throughput/cache
-  statistics.
+  structured per-net failure capture, one deadline per mode (a
+  ``SIGALRM`` per-net timeout serially, the parent's watchdog in the
+  pool), crash-safe worker recovery with bounded retries, a
+  ``max_failures`` circuit breaker, JSONL checkpoint/resume, and
+  throughput/cache statistics.
 
 Consumers: ``BlockAnalyzer.run(jobs=N)`` re-analyzes nets in parallel
-inside each fixed-point iteration, ``python -m repro screen --jobs N``
-parallelizes population screening, and
-:func:`repro.bench.runner.run_population` parallelizes benchmark
-sweeps.
+inside each fixed-point iteration, and ``python -m repro screen --jobs
+N`` parallelizes population screening.
 """
 
 from repro.exec.pool import (

@@ -15,25 +15,24 @@ Results come back in input order regardless of completion order, and
 serial/parallel runs produce bit-identical reports.  The run degrades
 instead of dying:
 
-* a net that raises (or exceeds the optional per-net wall-clock
-  ``timeout``) becomes a structured :class:`NetFailure` record;
-* a worker-process death (``BrokenProcessPool``) rebuilds the pool and
-  re-probes the in-flight nets one at a time to identify the culprit,
-  which — after ``retries`` isolated re-attempts with exponential
-  backoff — becomes a ``NetFailure(error_type="WorkerCrash")`` while
-  every other net still completes;
-* a parent-side heartbeat watchdog derives an adaptive per-net hang
-  deadline from the completed-net p95 (clamped; static ``timeout``
-  until enough samples exist) and kills/quarantines a stuck worker —
-  the hung net becomes a ``NetFailure(error_type="WorkerHang")``, the
-  innocent in-flight nets are resubmitted, and everything already
-  completed is safe in the checkpoint stream;
-* a per-worker RSS budget recycles bloating workers; a net that both
-  failed and blew the budget is retried once with the sparse MNA
-  backend forced;
-* the worker warm-start itself runs under a coarse deadline — a worker
-  that cannot initialize returns structured ``WorkerInitTimeout``
-  failures instead of stalling the run;
+* a net that raises becomes a structured :class:`NetFailure` record;
+* each mode has one deadline.  Serially, the optional per-net
+  wall-clock ``timeout`` is a ``SIGALRM`` timer around the analysis.
+  In the pool, the parent's watchdog is the only deadline: each
+  in-flight net's clock starts at submission, and at every poll a net
+  older than ``timeout`` fails ``NetTimeout`` while one older than the
+  tighter adaptive deadline (a multiple of the completed-net p95,
+  clamped) fails ``WorkerHang``.  Either kills the pool and resubmits
+  the innocent in-flight nets; everything already completed is safe
+  in the checkpoint stream.  Workers arm no timer, so a hung
+  warm-start is overdue exactly like a hung net;
+* a worker-process death (``BrokenProcessPool``) makes every
+  unresolved net a suspect, and suspects run one at a time in the
+  same watched loop, so a crash is unambiguously the in-flight net's:
+  after ``retries`` re-attempts with exponential backoff it becomes a
+  ``NetFailure(error_type="WorkerCrash")`` while every other net
+  still completes;
+* a per-worker RSS budget recycles bloating workers;
 * a ``max_failures`` circuit breaker aborts a run whose failure count
   (or fraction) shows something systemic rather than per-net;
 * ``checkpoint=`` streams every completed net to an atomic JSONL file
@@ -75,11 +74,7 @@ from repro.obs import (
     sample_resources,
     set_tracer,
 )
-from repro.obs.progress import (
-    WATCHDOG_FACTOR,
-    AdaptiveDeadline,
-    ProgressTracker,
-)
+from repro.obs.progress import AdaptiveDeadline, ProgressTracker
 from repro.obs.resources import reset_sampler
 from repro.resilience import (
     CheckpointWriter,
@@ -101,6 +96,10 @@ __all__ = ["NetFailure", "NetTimeout", "TooManyFailures", "ExecStats",
 #: How often the parent-side watchdog wakes up to look for overdue or
 #: over-budget workers while futures are outstanding.
 _WATCHDOG_POLL_S = 0.25
+#: Base of the exponential backoff between isolated re-attempts of a
+#: net that crashed its worker: attempt *k* waits
+#: ``RETRY_BACKOFF_S * 2**(k-1)`` seconds.
+RETRY_BACKOFF_S = 0.1
 
 log = get_logger("exec.pool")
 
@@ -169,13 +168,11 @@ class ExecStats:
     #: Peak resident-set size (bytes) over every participating process
     #: (serial: this one; jobs>1: the max across the workers).
     peak_rss_bytes: int = 0
-    #: In-flight nets killed by the parent-side hang watchdog.
+    #: In-flight nets killed by the parent-side watchdog
+    #: (``NetTimeout`` or ``WorkerHang``).
     watchdog_kills: int = 0
     #: Heartbeats that exceeded the per-worker RSS budget.
     rss_flagged: int = 0
-    #: Nets re-submitted with the sparse backend forced after their
-    #: worker blew the RSS budget.
-    sparse_retries: int = 0
     #: Nets pruned by the tiered screen (``tier_labels`` < 2): never
     #: dispatched, never warmed, no report and no failure.
     pruned: int = 0
@@ -253,14 +250,15 @@ class ExecResult:
 def _time_limit(seconds: float | None):
     """Raise :class:`NetTimeout` if the body runs longer than ``seconds``.
 
-    Implemented with ``SIGALRM``/``setitimer``, which only works in a
-    main thread (process-pool workers and the serial path both qualify);
-    elsewhere the limit is skipped rather than mis-armed.  A pending
+    The serial path's deadline (pool workers arm none: the parent's
+    watchdog times them).  Implemented with ``SIGALRM``/``setitimer``,
+    which only works in a main thread; elsewhere the limit is skipped
+    rather than mis-armed.  A pending
     outer ``ITIMER_REAL`` is captured from ``setitimer``'s return value
     and re-armed with its remaining time on exit, so nested limits
     leave the outer deadline ticking instead of silently disarming it.
     """
-    if not seconds or seconds <= 0 or \
+    if seconds is None or \
             threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -317,10 +315,8 @@ def _analyze_one(analyzer: DelayNoiseAnalyzer, net: CoupledNet,
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(snapshot: dict, analyze_kwargs: dict,
-                 timeout: float | None, trace: bool,
-                 fault_plan: FaultPlan | None,
-                 init_timeout: float | None = None) -> None:
+def _worker_init(snapshot: dict, analyze_kwargs: dict, trace: bool,
+                 fault_plan: FaultPlan | None) -> None:
     # Workers may be forked, inheriting the parent's tracer buffer and
     # metric values — start both from scratch so per-net drains report
     # only this worker's activity (the parent merges them back).
@@ -329,22 +325,17 @@ def _worker_init(snapshot: dict, analyze_kwargs: dict,
     if fault_plan is not None:
         # A fresh copy per worker: fire counters are per-process.
         install_faults(fault_plan)
-    # The warm-start restore is bounded by a coarse deadline: a huge or
-    # corrupt snapshot must not stall the whole run silently at
-    # initialization.  A failed init is *captured*, not raised — an
-    # initializer exception would break the pool and be misattributed
-    # to whatever nets were in flight; instead every net handed to this
-    # worker returns a structured failure naming the init problem.
+    # A failed warm-start is *captured*, not raised — an initializer
+    # exception would break the pool and be misattributed to whatever
+    # nets were in flight; instead every net handed to this worker
+    # returns a structured failure naming the init problem.  A hung
+    # one needs no timer here: the parent's watchdog clock for a net
+    # starts at submission, so the net it holds up goes overdue.
     _WORKER_STATE.pop("init_error", None)
     _WORKER_STATE.pop("analyzer", None)
     try:
-        with _time_limit(init_timeout):
-            fire("exec.worker_init", "init")
-            _WORKER_STATE["analyzer"] = restore_analyzer(snapshot)
-    except NetTimeout:
-        _WORKER_STATE["init_error"] = (
-            "WorkerInitTimeout",
-            f"worker warm-start exceeded {init_timeout:g} s")
+        fire("exec.worker_init", "init")
+        _WORKER_STATE["analyzer"] = restore_analyzer(snapshot)
     except Exception as exc:
         _WORKER_STATE["init_error"] = (
             type(exc).__name__,
@@ -355,7 +346,6 @@ def _worker_init(snapshot: dict, analyze_kwargs: dict,
     reset_sampler()
     sample_resources()
     _WORKER_STATE["analyze_kwargs"] = analyze_kwargs
-    _WORKER_STATE["timeout"] = timeout
 
 
 def _worker_run(net: CoupledNet):
@@ -384,8 +374,7 @@ def _worker_run(net: CoupledNet):
     hits0, misses0 = _cache_counters(analyzer)
     t0 = time.perf_counter()
     report, failure = _analyze_one(
-        analyzer, net, _WORKER_STATE["timeout"],
-        _WORKER_STATE["analyze_kwargs"])
+        analyzer, net, None, _WORKER_STATE["analyze_kwargs"])
     seconds = time.perf_counter() - t0
     hits1, misses1 = _cache_counters(analyzer)
     # Sample *before* the drain so the resource instruments ride the
@@ -396,20 +385,6 @@ def _worker_run(net: CoupledNet):
                           failed=failure is not None)
     return (report, failure, hits1 - hits0, misses1 - misses0,
             metrics().drain(), current_tracer().drain(), heartbeat)
-
-
-def _worker_run_sparse(net: CoupledNet):
-    """:func:`_worker_run` with the sparse MNA backend forced.
-
-    The RSS-budget retry path: a net whose analysis bloated its worker
-    past the budget (dense fill on an unexpectedly large extracted net
-    is the usual culprit) is re-run in a fresh worker with every system
-    built sparse, trading per-step speed for a bounded footprint.
-    """
-    from repro.circuit.mna import sparse_threshold
-
-    with sparse_threshold(1):
-        return _worker_run(net)
 
 
 # ----------------------------------------------------------------------
@@ -509,17 +484,13 @@ class _Breaker:
 def analyze_nets(nets, *, jobs: int = 1,
                  analyzer: DelayNoiseAnalyzer | None = None,
                  timeout: float | None = None,
-                 warm: bool = True,
                  retries: int = 2,
-                 retry_backoff: float = 0.1,
                  max_failures: int | float | None = None,
                  checkpoint=None,
                  resume: bool = False,
                  force_resume: bool = False,
                  on_heartbeat=None,
-                 init_timeout: float | None = None,
                  rss_budget_bytes: int | None = None,
-                 watchdog_factor: float | None = WATCHDOG_FACTOR,
                  tier_labels: dict[str, int] | None = None,
                  **analyze_kwargs) -> ExecResult:
     """Analyze every net, optionally across ``jobs`` worker processes.
@@ -535,21 +506,22 @@ def analyze_nets(nets, *, jobs: int = 1,
         no subprocess overhead.
     analyzer:
         The parent analyzer whose characterization caches seed the
-        workers (created fresh if omitted).  Its caches are extended by
-        the warm-up, so it stays hot for follow-up work.
+        workers (created fresh if omitted).  Every table the nets need
+        is pre-built in it before mapping, so it stays hot for
+        follow-up work.
     timeout:
-        Optional per-net wall-clock limit in seconds; an overrunning net
-        becomes a :class:`NetFailure` with a :class:`NetTimeout` error.
-    warm:
-        Pre-build all needed characterization tables in the parent
-        before mapping (recommended; disable only when the caller
-        guarantees the analyzer is already hot).
+        Optional per-net wall-clock limit in seconds (must be > 0); an
+        overrunning net becomes a :class:`NetFailure` with a
+        :class:`NetTimeout` error.  Serially a ``SIGALRM`` timer
+        enforces it; with ``jobs>1`` the parent's watchdog does,
+        counting from the net's submission and recycling the pool.
+        The watchdog also fails a net older than the adaptive hang
+        deadline (a multiple of the completed-net p95, clamped) as a
+        ``WorkerHang``, whether or not ``timeout`` is set.
     retries:
         Isolated re-attempts granted to a net suspected of crashing its
-        worker before it is recorded as a ``WorkerCrash`` failure.
-    retry_backoff:
-        Base of the exponential backoff between crash re-attempts
-        (seconds; attempt *k* sleeps ``retry_backoff * 2**(k-1)``).
+        worker before it is recorded as a ``WorkerCrash`` failure
+        (attempt *k* waits ``RETRY_BACKOFF_S * 2**(k-1)`` first).
     max_failures:
         Circuit breaker: abort with :class:`TooManyFailures` when the
         failure tally exceeds this count (>= 1) or fraction of the
@@ -567,24 +539,10 @@ def analyze_nets(nets, *, jobs: int = 1,
         Resume even when the checkpoint's ``run_hash`` does not match —
         for operators who know the config change is benign.  The mixed
         provenance is logged and counted (``exec.force_resumed``).
-    init_timeout:
-        Coarse deadline (seconds) on each worker's warm-start restore;
-        an overrunning initializer turns every net handed to that worker
-        into a structured ``WorkerInitTimeout`` failure instead of a
-        silent stall.  Defaults to ``10 x timeout`` when a per-net
-        ``timeout`` is set, else unbounded.
     rss_budget_bytes:
-        Per-worker resident-set budget.  A worker whose heartbeat
-        exceeds it is terminated (pool recycled); if its net also
-        failed, the net is retried once in a fresh worker with the
-        sparse MNA backend forced.
-    watchdog_factor:
-        Hang deadline as a multiple of the completed-net p95 wall time
-        (parent-side, ``jobs>1`` only) — an in-flight net past the
-        clamped deadline is recorded as a ``WorkerHang`` failure and
-        its worker killed, with the other in-flight nets resubmitted.
-        Before enough samples exist the deadline falls back to the
-        static ``timeout``.  ``None`` disables hang detection.
+        Per-worker resident-set budget (``jobs>1``).  A worker whose
+        heartbeat exceeds it is terminated (pool recycled); the net it
+        finished keeps its result.
     on_heartbeat:
         Optional callable invoked with a :class:`repro.obs.Heartbeat`
         as each net completes (in completion order, not input order) —
@@ -611,6 +569,8 @@ def analyze_nets(nets, *, jobs: int = 1,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be > 0 s, got {timeout}")
     names = [net.name for net in nets]
     if len(set(names)) != len(names):
         seen: set[str] = set()
@@ -637,8 +597,9 @@ def analyze_nets(nets, *, jobs: int = 1,
     # Resume: answer already-checkpointed nets from disk.
     writer: CheckpointWriter | None = None
     todo = list(range(len(nets)))
-    run_hash = _run_identity(nets, analyzer, analyze_kwargs, tier_labels)
     if checkpoint is not None:
+        run_hash = _run_identity(nets, analyzer, analyze_kwargs,
+                                 tier_labels)
         if resume:
             header = load_checkpoint_header(checkpoint)
             stored_hash = None if header is None else \
@@ -712,7 +673,7 @@ def analyze_nets(nets, *, jobs: int = 1,
 
     tracer = current_tracer()
     todo_nets = [nets[i] for i in todo]
-    if warm and todo_nets:
+    if todo_nets:
         t_warm = time.perf_counter()
         with tracer.span("exec.warm", nets=len(todo_nets)):
             warm_analyzer(analyzer, todo_nets,
@@ -746,21 +707,9 @@ def analyze_nets(nets, *, jobs: int = 1,
             stats.cache_hits = hits1 - hits0
             stats.cache_misses = misses1 - misses0
         else:
-            if init_timeout is None and timeout:
-                init_timeout = 10.0 * timeout
-            # The watchdog's duration samples live in a private tracker
-            # (the caller's on_heartbeat tracker, if any, is theirs).
-            watch_tracker = ProgressTracker(total=len(todo))
-            deadline = (AdaptiveDeadline(watch_tracker,
-                                         static_timeout=timeout,
-                                         factor=watchdog_factor)
-                        if watchdog_factor else None)
             _run_pool(nets, todo, jobs, analyzer, timeout, retries,
-                      retry_backoff, analyze_kwargs, tracer, stats,
-                      record_outcome, on_heartbeat,
-                      init_timeout=init_timeout,
-                      rss_budget_bytes=rss_budget_bytes,
-                      deadline=deadline, watch_tracker=watch_tracker)
+                      analyze_kwargs, tracer, stats, record_outcome,
+                      on_heartbeat, rss_budget_bytes)
             # One parent-side sample so the merged registry also covers
             # this process (workers folded theirs per net above).
             sample_resources()
@@ -829,70 +778,75 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_pool(nets, todo, jobs, analyzer, timeout, retries,
-              retry_backoff, analyze_kwargs, tracer, stats,
-              record_outcome, on_heartbeat=None, *,
-              init_timeout=None, rss_budget_bytes=None,
-              deadline: AdaptiveDeadline | None = None,
-              watch_tracker: ProgressTracker | None = None) -> None:
+              analyze_kwargs, tracer, stats, record_outcome,
+              on_heartbeat=None, rss_budget_bytes=None) -> None:
     """The ``jobs>1`` path: per-net futures over a rebuildable pool.
 
-    Submission is windowed to the worker count, so when the pool breaks
-    the suspect set (submitted-but-unresolved nets) is at most ``jobs``
-    nets.  Suspects are then re-probed one at a time in a fresh pool —
-    an isolated crash is unambiguously the probed net's — with
-    ``retries`` re-attempts and exponential backoff before the net is
-    recorded as a ``WorkerCrash``.  Everything else resumes in
-    parallel.
-
-    The wait is a timed poll (``_WATCHDOG_POLL_S``), which is what the
-    heartbeat watchdog hangs off: each wakeup compares every in-flight
-    net's age against the adaptive ``deadline`` (p95-derived, clamped;
-    see :class:`repro.obs.progress.AdaptiveDeadline`) and every
-    completed heartbeat against ``rss_budget_bytes``.  Either trips a
-    pool recycle: stuck/bloated workers are terminated, hung nets are
-    recorded as ``WorkerHang`` failures, and the *innocent* in-flight
+    One loop dispatches every net and one watchdog times them.  The
+    wait is a timed poll (``_WATCHDOG_POLL_S``); each wakeup compares
+    every in-flight net's age since submission against ``timeout``
+    (overdue: ``NetTimeout``) and against the tighter adaptive hang
+    deadline (p95-derived, clamped; see
+    :class:`repro.obs.progress.AdaptiveDeadline`; overdue:
+    ``WorkerHang``), and every completed heartbeat against
+    ``rss_budget_bytes``.  Any of these trips a pool recycle:
+    stuck/bloated workers are terminated and the *innocent* in-flight
     nets are resubmitted — completed nets are already safe in the
     checkpoint stream, so nothing finished is lost to the kill.
+
+    Submission is windowed to the worker count.  When a worker dies
+    the pool breaks, and every unresolved net becomes a suspect.
+    Suspects go back to the front of the queue and run with a window
+    of one, so a break while one runs is unambiguously its doing: it
+    gets ``retries`` re-attempts with exponential backoff before it is
+    recorded as a ``WorkerCrash``.  Suspects run under the same
+    watchdog as every other net, so a hung suspect is killed like any
+    hung net.
     """
     snapshot = build_snapshot(analyzer)
     workers = min(jobs, len(todo))
-    initargs = (snapshot, analyze_kwargs, timeout, tracer.enabled,
-                active_plan(), init_timeout)
+    initargs = (snapshot, analyze_kwargs, tracer.enabled, active_plan())
     crash_counter = metrics().counter("exec.worker_crashes")
     retry_counter = metrics().counter("exec.retries")
     hang_counter = metrics().counter("exec.watchdog_kills")
     rss_counter = metrics().counter("exec.rss_flagged")
-    sparse_counter = metrics().counter("exec.sparse_retries")
+    # The watchdog's duration samples live in a private tracker (the
+    # caller's on_heartbeat tracker, if any, is theirs).
+    watch_tracker = ProgressTracker(total=len(todo))
+    deadline = AdaptiveDeadline(watch_tracker, static_timeout=timeout)
     # Per-index telemetry buffers, merged in input order at the end so
     # jobs=N traces keep the serial topology regardless of completion
     # (and crash/retry) order.
     telemetry: dict[int, tuple] = {}
     crash_attempts: dict[int, int] = {}
-    force_sparse: set[int] = set()
+    suspects: set[int] = set()
 
     def new_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=workers,
                                    initializer=_worker_init,
                                    initargs=initargs)
 
-    def task_for(i: int):
-        return _worker_run_sparse if i in force_sparse else _worker_run
-
     def accept(i: int, outcome) -> None:
         report, failure, hits, misses, metric_payload, spans, \
             heartbeat = outcome
         telemetry[i] = (hits, misses, metric_payload, spans)
+        suspects.discard(i)
         record_outcome(i, report, failure)
         stats.peak_rss_bytes = max(stats.peak_rss_bytes,
                                    heartbeat.rss_bytes)
-        if watch_tracker is not None:
-            watch_tracker.record(heartbeat)
+        watch_tracker.record(heartbeat)
         if on_heartbeat is not None:
             on_heartbeat(heartbeat)
 
-    def failure_heartbeat(i: int) -> None:
-        # Nets that die without a worker result (crashes, transport
-        # failures) still tick the progress line.
+    def fail(i: int, error_type: str, message: str,
+             trace_text: str = "") -> None:
+        # A net that ends without a worker result (crash, timeout,
+        # hang, result transport) is checkpointed, counted by the
+        # breaker and ticks the progress line like any other failure.
+        suspects.discard(i)
+        record_outcome(i, None, NetFailure(
+            net_name=nets[i].name, error=f"{error_type}: {message}",
+            traceback=trace_text, error_type=error_type))
         if on_heartbeat is not None:
             on_heartbeat(Heartbeat(net=nets[i].name, seconds=0.0,
                                    rss_bytes=0, failed=True))
@@ -902,13 +856,14 @@ def _run_pool(nets, todo, jobs, analyzer, timeout, retries,
     inflight: dict = {}  # future -> (net index, submit monotonic time)
     try:
         while pending or inflight:
-            while pending and len(inflight) < workers:
+            window = 1 if suspects else workers
+            while pending and len(inflight) < window:
                 i = pending.popleft()
-                inflight[pool.submit(task_for(i), nets[i])] = \
+                inflight[pool.submit(_worker_run, nets[i])] = \
                     (i, time.monotonic())
             done, _ = wait(set(inflight), timeout=_WATCHDOG_POLL_S,
                            return_when=FIRST_COMPLETED)
-            suspects: list[int] = []
+            broken: list[int] = []
             requeue: list[int] = []
             recycle = False
             for future in done:
@@ -916,19 +871,13 @@ def _run_pool(nets, todo, jobs, analyzer, timeout, retries,
                 try:
                     outcome = future.result()
                 except BrokenProcessPool:
-                    suspects.append(i)
+                    broken.append(i)
                     continue
-                except TooManyFailures:
-                    raise
                 except Exception as exc:
                     # Result-transport failure (e.g. unpicklable state):
                     # per-net, not systemic — record and move on.
-                    record_outcome(i, None, NetFailure(
-                        net_name=nets[i].name,
-                        error=f"{type(exc).__name__}: {exc}",
-                        traceback=traceback.format_exc(),
-                        error_type=type(exc).__name__))
-                    failure_heartbeat(i)
+                    fail(i, type(exc).__name__, str(exc),
+                         traceback.format_exc())
                     continue
                 heartbeat = outcome[6]
                 if (rss_budget_bytes is not None
@@ -941,60 +890,72 @@ def _run_pool(nets, todo, jobs, analyzer, timeout, retries,
                         "%.0f MB); recycling the pool", heartbeat.pid,
                         nets[i].name, heartbeat.rss_bytes / 1e6,
                         rss_budget_bytes / 1e6)
-                    if outcome[1] is not None and i not in force_sparse:
-                        # The net failed *and* bloated the worker —
-                        # likely dense fill; one retry, sparse forced.
-                        force_sparse.add(i)
-                        stats.sparse_retries += 1
-                        sparse_counter.inc()
-                        requeue.append(i)
-                        continue
                 accept(i, outcome)
-            # Heartbeat watchdog: any in-flight net past the adaptive
-            # deadline counts as hung — record it, kill the pool (the
-            # only way to stop a spinning worker), resubmit the rest.
-            if deadline is not None and inflight:
-                limit = deadline.seconds()
-                if limit is not None:
-                    now = time.monotonic()
-                    overdue = [(future, i, now - t0)
-                               for future, (i, t0) in inflight.items()
-                               if now - t0 > limit]
-                    for future, i, age in overdue:
-                        del inflight[future]
-                        stats.watchdog_kills += 1
-                        hang_counter.inc()
-                        recycle = True
-                        log.warning(
-                            "net %s hung: no result after %.1f s "
-                            "(deadline %.1f s); killing its worker",
-                            nets[i].name, age, limit)
-                        record_outcome(i, None, NetFailure(
-                            net_name=nets[i].name,
-                            error=(f"WorkerHang: no result after "
-                                   f"{age:.1f} s (watchdog deadline "
-                                   f"{limit:.1f} s)"),
-                            traceback="", error_type="WorkerHang"))
-                        failure_heartbeat(i)
-            if suspects:
+            if broken:
                 # The pool is broken; every in-flight future is doomed
-                # with it.  Anything submitted-but-unresolved is a
-                # suspect (the window bounds this set to <= workers).
+                # with it.
                 stats.worker_crashes += 1
                 crash_counter.inc()
-                suspects.extend(i for i, _t0 in inflight.values())
+                recycle = True
+                unresolved = broken + [i for i, _t0 in inflight.values()]
                 inflight.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = new_pool()
-                log.warning("worker pool broke; probing %d suspect "
-                            "net(s) in isolation", len(suspects))
-                for i in sorted(suspects):
-                    pool = _probe(pool, new_pool, nets, i, task_for,
-                                  accept, record_outcome,
-                                  crash_attempts, retries,
-                                  retry_backoff, stats, crash_counter,
-                                  retry_counter, failure_heartbeat)
-            elif recycle:
+                if suspects:
+                    # A window of one: the break is this net's alone.
+                    (i,) = unresolved
+                    attempts = crash_attempts.get(i, 0) + 1
+                    crash_attempts[i] = attempts
+                    if attempts > retries:
+                        log.warning("net %s crashed its worker %d "
+                                    "time(s); recording WorkerCrash",
+                                    nets[i].name, attempts)
+                        fail(i, "WorkerCrash",
+                             f"worker process died while analyzing net "
+                             f"{nets[i].name} ({attempts} isolated "
+                             f"attempts)")
+                    else:
+                        stats.retries += 1
+                        retry_counter.inc()
+                        delay = RETRY_BACKOFF_S * 2 ** (attempts - 1)
+                        log.warning("net %s crashed its worker (attempt "
+                                    "%d/%d); retrying in %.2f s",
+                                    nets[i].name, attempts, retries,
+                                    delay)
+                        time.sleep(delay)
+                        requeue.append(i)
+                else:
+                    log.warning("worker pool broke; running %d suspect "
+                                "net(s) one at a time", len(unresolved))
+                    suspects.update(unresolved)
+                    requeue.extend(unresolved)
+            # The watchdog: an in-flight net past its deadline is
+            # recorded and its pool killed (the only way to stop a
+            # spinning worker).
+            limit = deadline.seconds()
+            if limit is not None:
+                now = time.monotonic()
+                for future, (i, t0) in list(inflight.items()):
+                    age = now - t0
+                    if age <= limit:
+                        continue
+                    del inflight[future]
+                    stats.watchdog_kills += 1
+                    hang_counter.inc()
+                    recycle = True
+                    if timeout is not None and age > timeout:
+                        log.warning("net %s exceeded its %g s budget; "
+                                    "killing its worker", nets[i].name,
+                                    timeout)
+                        fail(i, "NetTimeout",
+                             f"net analysis exceeded {timeout:g} s")
+                    else:
+                        log.warning("net %s hung: no result after "
+                                    "%.1f s (deadline %.1f s); killing "
+                                    "its worker", nets[i].name, age,
+                                    limit)
+                        fail(i, "WorkerHang",
+                             f"no result after {age:.1f} s (watchdog "
+                             f"deadline {limit:.1f} s)")
+            if recycle:
                 # Survivors (in flight in healthy workers) go back to
                 # the front of the queue; their partial work is lost
                 # but their checkpointed peers are not.
@@ -1015,60 +976,3 @@ def _run_pool(nets, todo, jobs, analyzer, timeout, retries,
             stats.cache_misses += misses
             metrics().merge_snapshot(metric_payload)
             tracer.absorb(spans)
-
-
-def _probe(pool, new_pool, nets, i, task_for, accept, record_outcome,
-           crash_attempts, retries, retry_backoff, stats,
-           crash_counter, retry_counter,
-           failure_heartbeat) -> ProcessPoolExecutor:
-    """Run one suspect net alone in the pool, attributing crashes to it.
-
-    With a single in-flight net, a ``BrokenProcessPool`` is
-    unambiguously this net's doing: count the attempt, rebuild the
-    pool, back off exponentially and retry until ``retries`` isolated
-    attempts are exhausted, at which point the net is recorded as a
-    ``WorkerCrash`` :class:`NetFailure`.  Returns the (possibly
-    rebuilt) pool for the caller to keep using.
-    """
-    while True:
-        future = pool.submit(task_for(i), nets[i])
-        try:
-            accept(i, future.result())
-            return pool
-        except BrokenProcessPool:
-            stats.worker_crashes += 1
-            crash_counter.inc()
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = new_pool()
-            attempts = crash_attempts.get(i, 0) + 1
-            crash_attempts[i] = attempts
-            if attempts > retries:
-                log.warning("net %s crashed its worker %d time(s); "
-                            "recording WorkerCrash", nets[i].name,
-                            attempts)
-                record_outcome(i, None, NetFailure(
-                    net_name=nets[i].name,
-                    error=f"WorkerCrash: worker process died while "
-                          f"analyzing net {nets[i].name} "
-                          f"({attempts} isolated attempts)",
-                    traceback="",
-                    error_type="WorkerCrash"))
-                failure_heartbeat(i)
-                return pool
-            stats.retries += 1
-            retry_counter.inc()
-            delay = retry_backoff * 2 ** (attempts - 1)
-            log.warning("net %s crashed its worker (attempt %d/%d); "
-                        "retrying in %.2f s", nets[i].name, attempts,
-                        retries, delay)
-            time.sleep(delay)
-        except TooManyFailures:
-            raise
-        except Exception as exc:
-            record_outcome(i, None, NetFailure(
-                net_name=nets[i].name,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=traceback.format_exc(),
-                error_type=type(exc).__name__))
-            failure_heartbeat(i)
-            return pool

@@ -38,7 +38,7 @@ STRAGGLER_FACTOR = 3.0
 #: over fewer is noise).
 MIN_STRAGGLER_SAMPLES = 5
 
-#: Default hang deadline as a multiple of the rolling p95 — looser than
+#: Hang deadline as a multiple of the rolling p95 — looser than
 #: the straggler flag (3x) because a watchdog expiry *kills* the worker
 #: rather than annotating the net.
 WATCHDOG_FACTOR = 4.0
@@ -198,9 +198,9 @@ class AdaptiveDeadline:
     """Per-net hang deadline derived from the completed-net p95.
 
     The pool's watchdog asks :meth:`seconds` for "how long may the net
-    currently in flight run before it counts as hung?".  The answer is
-    ``factor x p95`` of the completed nets, clamped to
-    ``[floor, ceiling]`` — but only once at least
+    currently in flight run before it is overdue?".  The answer is
+    ``WATCHDOG_FACTOR x p95`` of the completed nets, clamped to
+    ``[WATCHDOG_FLOOR_S, WATCHDOG_CEILING_S]`` — but only once at least
     ``MIN_STRAGGLER_SAMPLES`` durations exist.  Before that the rolling
     p95 is statistical noise (and for the *first* net of a run it is
     exactly 0.0, which a naive ``factor x p95`` would turn into an
@@ -210,24 +210,16 @@ class AdaptiveDeadline:
     """
 
     def __init__(self, tracker: ProgressTracker, *,
-                 static_timeout: float | None = None,
-                 factor: float = WATCHDOG_FACTOR,
-                 floor: float = WATCHDOG_FLOOR_S,
-                 ceiling: float = WATCHDOG_CEILING_S):
-        if factor <= 0.0:
-            raise ValueError(f"factor must be positive, got {factor}")
+                 static_timeout: float | None = None):
         self.tracker = tracker
         self.static_timeout = static_timeout
-        self.factor = factor
-        self.floor = floor
-        self.ceiling = ceiling
 
     def seconds(self) -> float | None:
         """Current deadline in seconds, or None (no hang detection)."""
         if len(self.tracker.durations) < MIN_STRAGGLER_SAMPLES:
             return self.static_timeout
-        adaptive = min(max(self.factor * self.tracker.p95(), self.floor),
-                       self.ceiling)
+        adaptive = min(max(WATCHDOG_FACTOR * self.tracker.p95(),
+                           WATCHDOG_FLOOR_S), WATCHDOG_CEILING_S)
         if self.static_timeout is not None:
             # The static timeout is an operator-set upper bound; the
             # adaptive deadline may tighten it but never loosen it.

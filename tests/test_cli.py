@@ -171,6 +171,22 @@ class TestScreen:
         code = main(["screen", "--count", "1", "--resume"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--timeout", "0"), ("--timeout", "-1"),
+        ("--rss-budget-mb", "0"), ("--rss-budget-mb", "-1"),
+        ("--retries", "-1"), ("--max-failures", "-1"),
+        ("--jobs", "0")])
+    def test_pool_knobs_validated_at_parse_time(self, flag, value,
+                                                capsys):
+        """A bad pool knob is a usage error (exit 2), not a traceback,
+        an unbounded run or a silently disabled budget."""
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "--count", "1", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert flag in err
+
     def test_screen_checkpoint_and_inject(self, tmp_path, capsys):
         """--inject labels injected failures; --checkpoint records
         every net; --resume answers from the checkpoint."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.netgen import canonical_net
-from repro.bench.runner import extra_delay_arrays, run_population
+from repro.bench.runner import extra_delay_arrays
 from repro.exec import (
     ExecResult,
     ExecStats,
@@ -108,6 +108,16 @@ class TestFailures:
     def test_jobs_validated(self, analyzer):
         with pytest.raises(ValueError, match="jobs"):
             analyze_nets([], jobs=0, analyzer=analyzer)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nonpositive_timeout_rejected(self, analyzer, population,
+                                          jobs):
+        """``timeout <= 0`` is an error in both modes, not an unbounded
+        serial run or an instant kill of every pooled net."""
+        for timeout in (0, -1.0):
+            with pytest.raises(ValueError, match="timeout"):
+                analyze_nets(population, jobs=jobs, analyzer=analyzer,
+                             timeout=timeout, alignment="table")
 
     def test_raise_on_failure_noop_when_ok(self):
         result = ExecResult(reports=[], failures=[],
@@ -243,14 +253,6 @@ class TestTierLabels:
 
 
 class TestBenchFront:
-    def test_run_population(self, analyzer, population, serial_result):
-        result = run_population([population[0]], analyzer=analyzer,
-                                alignment="table")
-        assert isinstance(result, ExecResult)
-        assert result.ok
-        assert result.reports[0].extra_delay_output == \
-            serial_result.reports[0].extra_delay_output
-
     def test_extra_delay_arrays_skip_failures(self, serial_result):
         reports = list(serial_result.reports) + [None]
         inp, out = extra_delay_arrays(reports)

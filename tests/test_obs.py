@@ -391,7 +391,7 @@ class TestPipelineTelemetry:
         broken = canonical_net(n_aggressors=1, name="broken-obs")
         broken.aggressors.clear()
         result = analyze_nets([broken], jobs=1, analyzer=analyzer,
-                              alignment="table", warm=False)
+                              alignment="table")
         assert result.stats.failures_by_type == {"ValueError": 1}
         (failure,) = result.failures
         assert failure.error_type == "ValueError"
@@ -399,8 +399,7 @@ class TestPipelineTelemetry:
     def test_timeout_counted_by_type(self, analyzer):
         net = canonical_net(n_aggressors=1, name="slow-obs")
         result = analyze_nets([net], jobs=1, analyzer=analyzer,
-                              timeout=0.001, alignment="table",
-                              warm=False)
+                              timeout=0.001, alignment="table")
         assert result.stats.failures_by_type == {"NetTimeout": 1}
 
 

@@ -2,9 +2,10 @@
 
 Covers the fault-injection registry, the Newton recovery ladder,
 graceful degradation of the per-net flow, the crash-safe pool
-(serial and jobs=2), the circuit breaker, checkpoint/resume, the
-nested-timer restoration of the per-net timeout, and the block-level
-``on_failure="hold"`` policy.
+(serial and jobs=2, including the watchdog's timeout and a hang among
+crash suspects), the circuit breaker, checkpoint/resume, the
+nested-timer restoration of the serial per-net timeout, and the
+block-level ``on_failure="hold"`` policy.
 """
 
 import json
@@ -397,8 +398,7 @@ class TestPoolResilience:
         install_faults(FaultPlan().add(
             "exec.worker", match="rn1", action="crash"))
         parallel = analyze_nets(pool_nets, jobs=2, analyzer=analyzer,
-                                alignment="table", retries=1,
-                                retry_backoff=0.01)
+                                alignment="table", retries=1)
         clear_faults()
         serial = analyze_nets(pool_nets, jobs=1, analyzer=analyzer,
                               alignment="table")
@@ -408,6 +408,54 @@ class TestPoolResilience:
         for i in (0, 2):
             assert noise_report_to_dict(parallel.reports[i]) == \
                 noise_report_to_dict(serial.reports[i])
+
+    def test_pool_timeout_matches_serial(self, analyzer, pool_nets):
+        """At jobs=2 the parent's watchdog enforces ``timeout``: a net
+        that hangs far past a budget about ten times a healthy net's
+        time fails with the serial path's NetTimeout, and the other
+        net's report is bit-identical to a serial run."""
+        install_faults(FaultPlan().add(
+            "exec.worker", match="rn0", action="sleep", seconds=600.0))
+        parallel = analyze_nets(pool_nets[:2], jobs=2, analyzer=analyzer,
+                                timeout=10.0, alignment="table")
+        clear_faults()
+        serial = analyze_nets(pool_nets[1:2], jobs=1, analyzer=analyzer,
+                              alignment="table")
+        assert parallel.reports[0] is None
+        assert [f.error for f in parallel.failures] == \
+            ["NetTimeout: net analysis exceeded 10 s"]
+        assert parallel.stats.failures_by_type == {"NetTimeout": 1}
+        assert noise_report_to_dict(parallel.reports[1]) == \
+            noise_report_to_dict(serial.reports[0])
+
+    def test_hang_while_suspect(self, analyzer):
+        """A net hanging when another net crashes the pool becomes a
+        crash suspect; suspects run under the same watchdog, so the
+        hang is killed as a WorkerHang instead of running out its
+        sleep in isolation, and the crasher is still a WorkerCrash."""
+        nets = [canonical_net(n_aggressors=1, name=f"p{i}")
+                for i in range(8)]
+        plan = FaultPlan()
+        plan.add("exec.worker", match="p5", action="sleep", seconds=60.0)
+        plan.add("exec.worker", match="p6", action="crash")
+        install_faults(plan)
+        t0 = time.monotonic()
+        parallel = analyze_nets(nets, jobs=2, analyzer=analyzer,
+                                retries=0, alignment="table")
+        wall = time.monotonic() - t0
+        clear_faults()
+        healthy = [net for net in nets if net.name not in ("p5", "p6")]
+        serial = analyze_nets(healthy, jobs=1, analyzer=analyzer,
+                              alignment="table")
+        assert {f.net_name: f.error_type for f in parallel.failures} == \
+            {"p5": "WorkerHang", "p6": "WorkerCrash"}
+        assert parallel.stats.watchdog_kills == 1
+        assert wall < 30.0
+        by_name = {r.net_name: r for r in parallel.reports
+                   if r is not None}
+        for report in serial.reports:
+            assert noise_report_to_dict(by_name[report.net_name]) == \
+                noise_report_to_dict(report)
 
     def test_report_lookup_after_failure(self, analyzer, pool_nets):
         install_faults(FaultPlan().add(
