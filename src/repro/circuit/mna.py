@@ -19,10 +19,10 @@ Stamping accumulates COO triplets and materializes them either as dense
 :data:`SPARSE_MIN_DIM` unknowns go sparse, everything below stays dense
 (where BLAS wins).  Both backends stamp the *same* triplet stream, so a
 sparse system agrees with its dense twin entry-for-entry.  Downstream,
-:mod:`repro.sim.factor` factors either form behind one facade; callers
-needing a plain array regardless of backend use :meth:`MnaSystem.G_array`
-/ :meth:`MnaSystem.C_array` (the moment/MOR paths, whose Krylov algebra
-is dense by construction).
+every consumer takes ``G``/``C`` as built: :mod:`repro.sim.factor`
+factors either form behind one facade, and the moment and PRIMA code
+(:mod:`repro.mor.prima`) factors through it too, so a sparse system is
+never densified.
 """
 
 from __future__ import annotations
@@ -109,14 +109,6 @@ class MnaSystem:
     def is_sparse(self) -> bool:
         """True when ``G``/``C`` are scipy sparse matrices."""
         return HAVE_SPARSE and _sp.issparse(self.G)
-
-    def G_array(self) -> np.ndarray:
-        """``G`` as a dense array regardless of the build backend."""
-        return self.G.toarray() if self.is_sparse else self.G
-
-    def C_array(self) -> np.ndarray:
-        """``C`` as a dense array regardless of the build backend."""
-        return self.C.toarray() if self.is_sparse else self.C
 
     def index_of(self, node: str) -> int:
         """Row index of a node (raises KeyError for ground/unknown)."""

@@ -45,17 +45,12 @@ def transfer_voltage_moments(net: Circuit, root: str, sink: str,
     B[mna.vsource_index["__step"]] = 1.0
     L = mna.output_incidence([sink])
     try:
-        moments = transfer_moments(mna.G_array(), mna.C_array(), B, L, count)
-        values = np.array([float(m[0, 0]) for m in moments])
+        moments = transfer_moments(mna.G, mna.C, B, L, count)
     except ValueError as exc:
         raise ValueError(
             f"network is singular at DC: sink {sink!r} (or another "
             f"node) is not DC-connected to {root!r}") from exc
-    if not np.isfinite(values).all():
-        raise ValueError(
-            f"network is singular at DC: sink {sink!r} (or another "
-            f"node) is not DC-connected to {root!r}")
-    return values
+    return np.array([float(m[0, 0]) for m in moments])
 
 
 def elmore_delay(net: Circuit, root: str, sink: str) -> float:

@@ -11,9 +11,9 @@ filtering before exact analysis:
   simulation at all, just the memoized node partition and capacitance
   sums of :mod:`repro.core.filtering`.
 * **Tier 1** — a reduced-order *linear* over-approximation
-  (:func:`tier1_estimate`): the coupled MNA system is PRIMA-projected
-  (:class:`repro.mor.ReducedModel`, TICER pre-reduction for
-  extracted-scale nets) and each aggressor is driven by an ideal
+  (:func:`tier1_estimate`): the full coupled MNA system is
+  PRIMA-projected (:class:`repro.mor.ReducedModel`, on SuperLU at
+  extracted scale) and each aggressor is driven by an ideal
   full-swing ramp against a pessimistically-held victim; the summed
   per-aggressor peaks carry a calibrated guard band so the estimate
   over-approximates the non-linear composite pulse height.
@@ -63,7 +63,6 @@ from repro.circuit.netlist import GROUND
 from repro.core.filtering import partition_nodes
 from repro.core.net import CoupledNet
 from repro.mor.reduced import ReducedModel
-from repro.mor.ticer import ticer_reduce
 from repro.obs import get_logger, metrics, span
 from repro.resilience.faults import InjectedCorruption
 from repro.resilience.faults import fire as _fire_fault
@@ -110,10 +109,8 @@ TIER_POLICIES = ("auto", "bound-only", "full")
 #: ample for the monotone-ish RC responses screened here.
 TIER1_ORDER = 8
 
-#: Interconnects with at least this many nodes are TICER-pre-reduced
-#: (quick internal nodes eliminated, ports kept) before the PRIMA
-#: projection, keeping the dense Krylov algebra at extracted scale off
-#: the critical path.
+#: The former tier-1 TICER cut-over (interconnect nodes).  It routes
+#: nothing now; noisebench's extracted tree is sized above it.
 TICER_MIN_NODES = 256
 
 #: DC anchor for quiet aggressor roots in the tier-1 circuit: large
@@ -146,7 +143,6 @@ class ScreeningConfig:
     guard_band: float = DEFAULT_GUARD_BAND
     victim_r_scale: float = DEFAULT_VICTIM_R_SCALE
     order: int = TIER1_ORDER
-    ticer_min_nodes: int = TICER_MIN_NODES
 
     def __post_init__(self):
         if self.noise_threshold <= 0.0:
@@ -188,8 +184,12 @@ class TierDecision:
 
     @property
     def figure(self) -> float:
-        """The tightest screening figure available for this net."""
-        return self.bound if self.estimate is None else self.estimate
+        """The tightest screening figure available for this net: both
+        figures are conservative, so their minimum is too.  Tier 1 runs
+        only when ``bound >= threshold``, so this never moves a
+        decision."""
+        return (self.bound if self.estimate is None
+                else min(self.bound, self.estimate))
 
     def to_dict(self) -> dict:
         return {"net_name": self.net_name, "tier": self.tier,
@@ -304,47 +304,27 @@ def _victim_holding_resistance(net: CoupledNet, scale: float) -> float:
                        gate.drive_resistance_estimate(False))
 
 
-def _tier1_interconnect(net: CoupledNet, ticer_min_nodes: int):
-    """The passive tier-1 view, TICER-pre-reduced at extracted scale.
-
-    Ports (driver roots, receiver node) are kept; everything else on an
-    extracted-scale net is a quick internal node PRIMA would spend
-    dense Krylov algebra on for nothing.
-    """
-    wires = net.interconnect
-    if ticer_min_nodes and len(wires.nodes()) >= ticer_min_nodes:
-        keep = {net.victim_root, net.victim_receiver_node}
-        keep.update(a.root for a in net.aggressors)
-        with span("screening.ticer", nodes=len(wires.nodes())):
-            reduced = ticer_reduce(wires, keep)
-        metrics().counter("screening.ticer_reduced").inc()
-        log.debug("%s: TICER %d -> %d nodes for tier 1", net.name,
-                  len(wires.nodes()), len(reduced.nodes()))
-        return reduced
-    return wires
-
-
 def tier1_estimate(net: CoupledNet, *,
                    config: ScreeningConfig | None = None) -> float:
     """Reduced-order linear over-estimate of the composite pulse height.
 
-    Builds one passive circuit per aggressor — the (possibly
-    TICER-reduced) interconnect, the receiver input capacitance, the
-    scaled victim holding resistor, near-floating anchors on the quiet
-    aggressor roots, and an ideal full-swing ramp source on the active
-    aggressor — PRIMA-reduces it observing the receiver node, and
-    simulates the reduced system over the aggressor's switching window.
-    Returns ``guard_band`` times the sum of the per-aggressor peak
-    magnitudes (the alignment-free upper bound on the composite peak).
+    Builds one passive circuit per aggressor — the full interconnect,
+    the receiver input capacitance, the scaled victim holding resistor,
+    near-floating anchors on the quiet aggressor roots, and an ideal
+    full-swing ramp source on the active aggressor — PRIMA-reduces it
+    observing the receiver node, and simulates the reduced system over
+    the aggressor's switching window (sparse, through SuperLU, at
+    extracted scale).  Returns ``guard_band`` times the sum of the
+    per-aggressor peak magnitudes (the alignment-free upper bound on
+    the composite peak).
     """
     config = config or ScreeningConfig(noise_threshold=net.vdd)
     if not net.aggressors:
         return 0.0
     vdd = net.vdd
     r_hold = _victim_holding_resistance(net, config.victim_r_scale)
-    wires = _tier1_interconnect(net, config.ticer_min_nodes)
 
-    base = wires.copy(f"{net.name}_tier1")
+    base = net.interconnect.copy(f"{net.name}_tier1")
     base.add_capacitor("__rcv_cin", net.victim_receiver_node, GROUND,
                        net.receiver.input_capacitance())
     base.add_resistor("__hold_victim", net.victim_root, GROUND, r_hold)

@@ -76,7 +76,7 @@ def admittance_moments(net: Circuit, port: str,
     B[row] = 1.0
     L = np.zeros((mna.dim, 1))
     L[row] = 1.0
-    moments = transfer_moments(mna.G_array(), mna.C_array(), B, L, count)
+    moments = transfer_moments(mna.G, mna.C, B, L, count)
     return -np.array([float(m[0, 0]) for m in moments])
 
 

@@ -162,7 +162,7 @@ def awe_from_mna(mna: MnaSystem, output_node: str, *, order: int = 2,
     """
     B = mna.input_incidence()[:, [input_index]]
     L = mna.output_incidence([output_node])
-    moments = transfer_moments(mna.G_array(), mna.C_array(), B, L, 2 * order)
+    moments = transfer_moments(mna.G, mna.C, B, L, 2 * order)
     flat = np.array([float(m[0, 0]) for m in moments])
     poles, residues = pade_poles(flat, order)
     return PoleResidueModel(poles, residues)

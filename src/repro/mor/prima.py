@@ -17,12 +17,18 @@ matches at least ``floor(q / p)`` block moments of the original transfer
 function (``p`` inputs) and — when ``G`` and ``C`` are symmetric positive
 semidefinite, as they are for RC circuits with current-source inputs —
 preserves passivity, because congruence preserves definiteness.
+
+``G`` and ``C`` may be dense or scipy sparse: ``G + s0 C`` is factored
+once through :class:`~repro.sim.factor.Factorization` (SuperLU when
+sparse) and the reduced matrices are formed as ``V^T (G V)``, so an
+extracted-scale system is never densified.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+
+from repro.sim.factor import Factorization, is_sparse_matrix
 
 __all__ = ["prima_reduce", "transfer_moments"]
 
@@ -30,16 +36,42 @@ __all__ = ["prima_reduce", "transfer_moments"]
 #: their pre-orthogonalization norm are deflated (considered dependent).
 _DEFLATION_TOL = 1e-10
 
+_SINGULAR = ("(G + s0*C) is singular at the expansion point — a net "
+             "floats at DC (reachable only through capacitors). Anchor "
+             "it with a holding resistor or pass s0 > 0.")
 
-def prima_reduce(G: np.ndarray, C: np.ndarray, B: np.ndarray,
-                 order: int, *, s0: float = 0.0,
+
+def _as_matrix(M):
+    """``M`` as a float matrix, left sparse when it is sparse."""
+    return M if is_sparse_matrix(M) else np.asarray(M, dtype=float)
+
+
+def _shifted_solver(G, C, s0: float):
+    """Factor ``G + s0*C`` once; return a solve that rejects a singular
+    expansion point."""
+    try:
+        fact = Factorization(G + s0 * C if s0 != 0.0 else G)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(_SINGULAR) from exc
+
+    def solve(M: np.ndarray) -> np.ndarray:
+        out = fact.solve(M)
+        if not np.isfinite(out).all():
+            raise ValueError(_SINGULAR)
+        return out
+
+    return solve
+
+
+def prima_reduce(G, C, B: np.ndarray, order: int, *, s0: float = 0.0,
                  L: np.ndarray | None = None):
     """Compute the PRIMA projection basis and reduced matrices.
 
     Parameters
     ----------
     G, C:
-        MNA conductance / capacitance matrices, shape ``(n, n)``.
+        MNA conductance / capacitance matrices, shape ``(n, n)``: dense
+        arrays or scipy sparse matrices.
     B:
         Input incidence, shape ``(n, p)``.
     order:
@@ -54,8 +86,8 @@ def prima_reduce(G: np.ndarray, C: np.ndarray, B: np.ndarray,
     -------
     dict with keys ``V, Gr, Cr, Br`` and (if ``L`` given) ``Lr``.
     """
-    G = np.asarray(G, dtype=float)
-    C = np.asarray(C, dtype=float)
+    G = _as_matrix(G)
+    C = _as_matrix(C)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape[0] != G.shape[0]:
         raise ValueError("B row count must match G dimension")
@@ -64,18 +96,7 @@ def prima_reduce(G: np.ndarray, C: np.ndarray, B: np.ndarray,
 
     n, p = B.shape
     order = min(order, n)
-
-    shifted = G + s0 * C if s0 != 0.0 else G
-    lu, piv = scipy.linalg.lu_factor(shifted)
-
-    def solve(M: np.ndarray) -> np.ndarray:
-        out = scipy.linalg.lu_solve((lu, piv), M, check_finite=False)
-        if not np.isfinite(out).all():
-            raise ValueError(
-                "(G + s0*C) is singular at the expansion point — a net "
-                "floats at DC (reachable only through capacitors). Anchor "
-                "it with a holding resistor or pass s0 > 0.")
-        return out
+    solve = _shifted_solver(G, C, s0)
 
     # Block Arnoldi with modified Gram-Schmidt and deflation.
     columns: list[np.ndarray] = []
@@ -113,8 +134,8 @@ def prima_reduce(G: np.ndarray, C: np.ndarray, B: np.ndarray,
 
     result = {
         "V": V,
-        "Gr": V.T @ G @ V,
-        "Cr": V.T @ C @ V,
+        "Gr": V.T @ (G @ V),
+        "Cr": V.T @ (C @ V),
         "Br": V.T @ B,
     }
     if L is not None:
@@ -122,27 +143,27 @@ def prima_reduce(G: np.ndarray, C: np.ndarray, B: np.ndarray,
     return result
 
 
-def transfer_moments(G: np.ndarray, C: np.ndarray, B: np.ndarray,
-                     L: np.ndarray, count: int,
+def transfer_moments(G, C, B: np.ndarray, L: np.ndarray, count: int,
                      *, s0: float = 0.0) -> list[np.ndarray]:
     """Block moments ``m_k`` of ``H(s) = L^T (G + s C)^{-1} B`` about s0.
 
     ``H(s0 + s) = sum_k m_k s^k`` with
     ``m_k = (-1)^k L^T ((G + s0 C)^{-1} C)^k (G + s0 C)^{-1} B``.
-    Used by tests to verify PRIMA's moment matching and by the effective
-    capacitance code to extract driving-point admittance moments.
+    ``G`` and ``C`` may be dense or scipy sparse, as in
+    :func:`prima_reduce`.  Used by tests to verify PRIMA's moment
+    matching and by the effective capacitance code to extract
+    driving-point admittance moments.
     """
-    G = np.asarray(G, dtype=float)
-    C = np.asarray(C, dtype=float)
+    C = _as_matrix(C)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     L = np.atleast_2d(np.asarray(L, dtype=float))
-    shifted = G + s0 * C if s0 != 0.0 else G
-    lu, piv = scipy.linalg.lu_factor(shifted)
+    solve = _shifted_solver(_as_matrix(G), C, s0)
     moments = []
-    X = scipy.linalg.lu_solve((lu, piv), B)
+    X = solve(B)
     sign = 1.0
-    for _ in range(count):
+    for k in range(count):
+        if k:
+            X = solve(C @ X)
         moments.append(sign * (L.T @ X))
-        X = scipy.linalg.lu_solve((lu, piv), C @ X)
         sign = -sign
     return moments

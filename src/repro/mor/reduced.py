@@ -40,7 +40,7 @@ class ReducedModel:
         """
         B = mna.input_incidence()
         L = mna.output_incidence(output_nodes)
-        parts = prima_reduce(mna.G_array(), mna.C_array(), B, order, s0=s0, L=L)
+        parts = prima_reduce(mna.G, mna.C, B, order, s0=s0, L=L)
         return cls(parts["Gr"], parts["Cr"], parts["Br"], parts["Lr"],
                    output_nodes)
 

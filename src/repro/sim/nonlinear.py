@@ -98,7 +98,7 @@ from repro.obs import metrics
 from repro.resilience.faults import InjectedCorruption
 from repro.resilience.faults import active_plan as _active_plan
 from repro.resilience.faults import fire as _fire_fault
-from repro.sim.factor import factorize, is_sparse_matrix
+from repro.sim.factor import Factorization, factorize, is_sparse_matrix
 from repro.sim.result import SimulationResult, time_grid
 
 try:  # pragma: no cover - container ships scipy; gate for safety
@@ -445,21 +445,23 @@ def _woodbury_base(A, batch: _DeviceBatch):
     ``rcond_min``: a factor that only rounding kept from being singular
     (``G`` with nodes held only by devices at DC) makes ``W``
     meaningless, and Woodbury then accepts a wrong state on its step
-    size.  The test runs with the trust layer on or off (``factorize``
-    has cached the estimate when it is on).  Returns ``(fact, W)`` with
-    ``W = A⁻¹ E_R`` (``None`` when ``k`` is 0), or ``None`` for exact
-    Newton.
+    size.  The test runs with the trust layer on or off, and only an
+    accepted base is handed to the trust layer's condition monitor: a
+    rejected one serves no solve, so it raises no condition warning.
+    Returns ``(fact, W)`` with ``W = A⁻¹ E_R`` (``None`` when ``k`` is
+    0), or ``None`` for exact Newton.
     """
     dim = A.shape[0]
     if 2 * batch.k > dim:
         return None
     try:
-        fact = factorize(A)
+        fact = Factorization(A)
     except np.linalg.LinAlgError:
         return None
     rcond = fact.rcond_estimate()
     if rcond is not None and rcond < _trust.config().rcond_min:
         return None
+    _trust.observe_factorization(fact)
     W = None
     if batch.k:
         selector = np.zeros((dim, batch.k))

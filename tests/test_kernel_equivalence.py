@@ -222,6 +222,15 @@ class TestIllConditionedBase:
             x_fast = dc_operating_point(self.pi_loaded_inverter())
         assert float(np.abs(x_fast - x_reference).max()) <= TOLERANCE
 
+    def test_rejected_base_raises_no_condition_warning(self):
+        """The routing rule throws the base away unused, so the trust
+        layer's condition monitor must not count or log it."""
+        warnings = metrics().counter("trust.condition_warnings")
+        before = warnings.value
+        with trust.trust_mode(True):
+            dc_operating_point(self.pi_loaded_inverter())
+        assert warnings.value == before
+
 
 class TestKernelModeSwitch:
     def test_context_restores_previous_mode(self):

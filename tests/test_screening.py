@@ -10,6 +10,7 @@ catches a silently deflated estimate.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.bench.netgen import NetGenConfig, NetGenerator, canonical_net
 from repro.circuit import Circuit, GROUND, build_mna
@@ -18,6 +19,7 @@ from repro.core.screening import (
     DEFAULT_GUARD_BAND,
     TIER_POLICIES,
     ScreeningConfig,
+    TierDecision,
     audit_prunes,
     screen_population,
     tier0_bound,
@@ -229,6 +231,39 @@ class TestMorSoundness:
         assert red_dc == pytest.approx(full_dc, rel=1e-6)
 
 
+class TestExtractedScaleTier1:
+    def test_large_tree_triage_is_sparse_prima_without_ticer(
+            self, monkeypatch):
+        """A ~4000-node extracted tree is projected whole by PRIMA on
+        the sparse factorization: TICER never runs and ``G``/``C`` are
+        never densified."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("not on the tier-1 path")
+
+        import repro.core.screening
+        import repro.mor
+        import repro.mor.ticer
+        # Wherever the name could be bound, screening included.
+        for module in (repro.mor.ticer, repro.mor, repro.core.screening):
+            monkeypatch.setattr(module, "ticer_reduce", forbidden,
+                                raising=False)
+        monkeypatch.setattr(sp.csc_matrix, "toarray", forbidden)
+        monkeypatch.setattr(sp.csc_matrix, "todense", forbidden)
+
+        net = NetGenerator(seed=1).large_tree(0, nodes=4000)
+        assert len(net.interconnect.nodes()) >= 4000
+        assert build_mna(net.interconnect).is_sparse
+        decisions, stats = triage([net],
+                                  ScreeningConfig(noise_threshold=0.45))
+        decision = decisions[0]
+        assert stats.by_tier[2] == 1
+        assert np.isfinite(decision.estimate)
+        # The whole-tree estimate sits above the charge bound here, so
+        # the reported figure is the bound.
+        assert decision.estimate > decision.bound
+        assert decision.figure == decision.bound
+
+
 # ----------------------------------------------------------------------
 # Triage
 # ----------------------------------------------------------------------
@@ -265,7 +300,19 @@ class TestTriage:
                 assert decision.estimate is None
                 assert decision.figure == decision.bound
             if decision.estimate is not None:
-                assert decision.figure == decision.estimate
+                assert decision.figure == min(decision.bound,
+                                              decision.estimate)
+
+    def test_figure_is_the_tighter_of_bound_and_estimate(self):
+        """Seed 1's 530-node extracted tree: the tier-1 estimate
+        (1.207 V) is looser than the charge bound (0.925 V), so the
+        reported figure is the bound."""
+        tree = TierDecision("tree0", 2, 0.925, 1.207, False,
+                            "estimate-above-threshold", 0.0)
+        assert tree.figure == 0.925
+        pruned = TierDecision("net0", 1, 0.60, 0.40, True,
+                              "estimate-below-threshold", 0.0)
+        assert pruned.figure == 0.40
 
     def test_huge_threshold_prunes_everything_at_tier0(self):
         nets = screening_population(count=6)

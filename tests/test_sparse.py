@@ -6,6 +6,7 @@ SuperLU backend behind :class:`repro.sim.factor.Factorization` (shape
 contract, singular-matrix error parity with the dense backends), the
 linear / non-linear / batched simulators forced through sparse systems
 on hand-sized circuits via :func:`repro.circuit.mna.sparse_threshold`,
+PRIMA and the moment code on sparse ``G``/``C`` against the dense path,
 the ``large_tree`` net generator and the dense-vs-sparse transient on a
 driven tree of about 2000 unknowns, and the regressions fixed alongside:
 the MNA cache miss counter and the ``time_grid`` dt-vs-h drift in the
@@ -26,6 +27,7 @@ from repro.circuit.mna import (
 from repro.circuit.topology import couple_nodes, rc_line
 from repro.devices import default_technology, nmos_params, pmos_params
 from repro.gates.csm import CurrentSourceModel, simulate_csm_driver
+from repro.mor import ReducedModel, prima_reduce, transfer_moments
 from repro.obs import metrics
 from repro.sim import (
     simulate_linear,
@@ -54,6 +56,20 @@ def coupled_rc_circuit(segments=12):
     couple_nodes(c, "x_", v, a, 30 * FF)
     c.add_vsource("vs", "v_root", GROUND, ramp(0.1 * NS, 0.1 * NS, 0.0, 1.2))
     c.add_resistor("rh", "a_root", GROUND, 150.0)
+    return c
+
+
+def norton_pair(segments=40):
+    """Two coupled RC lines in the tier-1 screening shape: the victim
+    held by a resistor, the aggressor driven by a current source across
+    a small shunt (symmetric positive-definite ``G``)."""
+    c = Circuit("norton_pair")
+    v = rc_line(c, "v_", "v_root", "v_rcv", segments, 1.2 * KOHM, 45 * FF)
+    a = rc_line(c, "a_", "a_root", "a_far", segments, 0.8 * KOHM, 35 * FF)
+    couple_nodes(c, "x_", v, a, 30 * FF)
+    c.add_resistor("rh", "v_root", GROUND, 2 * KOHM)
+    c.add_resistor("rsrc", "a_root", GROUND, 10.0)
+    c.add_isource("iin", GROUND, "a_root", 0.0)
     return c
 
 
@@ -106,16 +122,6 @@ class TestSparseStamping:
         with sparse_threshold(1):
             assert build_mna(c).is_sparse
         assert not build_mna(c).is_sparse  # restored on exit
-
-    def test_g_array_c_array(self):
-        c = coupled_rc_circuit()
-        dense = build_mna(c, sparse=False)
-        sparse = build_mna(c, sparse=True)
-        assert isinstance(sparse.G_array(), np.ndarray)
-        assert np.array_equal(sparse.G_array(), dense.G_array())
-        assert np.array_equal(sparse.C_array(), dense.C_array())
-        # Dense systems hand back their own arrays (no copy).
-        assert dense.G_array() is dense.G
 
     def test_backends_cached_independently(self):
         c = coupled_rc_circuit()
@@ -270,6 +276,68 @@ class TestSparseSimulators:
                                               overrides, 1 * NS, 1 * PS)
         for a, b in zip(reference, forced):
             assert np.abs(a.states - b.states).max() < 1e-9
+
+
+class TestSparsePrima:
+    """PRIMA and the moment code take a sparse ``G``/``C`` as built and
+    answer as the dense path does, to 1e-9 relative."""
+
+    OUTPUTS = ["v_rcv", "a_far"]
+    RTOL = 1e-9
+
+    @classmethod
+    def systems(cls):
+        c = norton_pair()
+        dense = build_mna(c, sparse=False)
+        sparse = build_mna(c, sparse=True)
+        assert sparse.is_sparse and not dense.is_sparse
+        return dense, sparse
+
+    @classmethod
+    def assert_blocks_close(cls, got, want):
+        for k, (g, w) in enumerate(zip(got, want)):
+            np.testing.assert_allclose(
+                g, w, rtol=cls.RTOL, atol=cls.RTOL * np.abs(w).max(),
+                err_msg=f"moment {k}")
+
+    def test_transfer_moments(self):
+        dense, sparse = self.systems()
+        B = dense.input_incidence()
+        L = dense.output_incidence(self.OUTPUTS)
+        self.assert_blocks_close(
+            transfer_moments(sparse.G, sparse.C, B, L, 6),
+            transfer_moments(dense.G, dense.C, B, L, 6))
+
+    def test_prima_reduce(self):
+        dense, sparse = self.systems()
+        B = dense.input_incidence()
+        L = dense.output_incidence(self.OUTPUTS)
+        reduced = {}
+        for name, mna in (("dense", dense), ("sparse", sparse)):
+            parts = prima_reduce(mna.G, mna.C, B, 8, L=L)
+            assert all(isinstance(parts[key], np.ndarray)
+                       for key in ("V", "Gr", "Cr", "Br", "Lr"))
+            reduced[name] = transfer_moments(
+                parts["Gr"], parts["Cr"], parts["Br"], parts["Lr"], 6)
+        self.assert_blocks_close(reduced["sparse"], reduced["dense"])
+
+    def test_reduced_model_moments_and_transient(self):
+        dense, sparse = self.systems()
+        models = {name: ReducedModel.from_mna(mna, self.OUTPUTS, 8)
+                  for name, mna in (("dense", dense), ("sparse", sparse))}
+        self.assert_blocks_close(models["sparse"].moments(6),
+                                 models["dense"].moments(6))
+        slew = 0.1 * NS
+        times = np.linspace(0.0, 2 * NS, 401)
+        inputs = np.clip(times / slew, 0.0, 1.0)[None, :] * VDD / 10.0
+        runs = {name: model.simulate(times, inputs)
+                for name, model in models.items()}
+        for node in self.OUTPUTS:
+            want = runs["dense"][node].values
+            got = runs["sparse"][node].values
+            assert np.abs(want).max() > 1e-3
+            assert (np.abs(got - want).max()
+                    <= self.RTOL * np.abs(want).max()), node
 
 
 class TestLargeTree:
