@@ -6,18 +6,25 @@ Not paper figures — these quantify the library's own decisions:
   π-load variant this library defaults to (the documented deviation).
 * ``cliff_guard`` — the alignment predictor's early-side guard band.
 * ``prima_order`` — reduced-model accuracy vs order.
+* ``port_model_order`` — the superposition engine's extracted-scale
+  port model: moments per port vs error against the full sparse run.
 * ``mor_methods`` — PRIMA vs AWE vs TICER on one coupled-noise waveform.
 * ``rtr_engine`` — transistor vs current-source-model Rtr driver pairs.
 * ``statistical_pessimism`` — deterministic worst case vs the delay
   distribution under window-uniform alignment.
 """
 
+import time
+
 import numpy as np
+import pytest
 from conftest import run_once
 
-from repro.bench.netgen import canonical_net
+import repro.core.superposition as superposition
+from repro.bench.netgen import NetGenerator, canonical_net
 from repro.bench.runner import format_table
 from repro.circuit import Circuit, GROUND, build_mna
+from repro.circuit.mna import SPARSE_MIN_DIM
 from repro.circuit.topology import couple_nodes, rc_line
 from repro.core.exhaustive import (
     combined_extra_delays,
@@ -33,6 +40,7 @@ from repro.core.precharacterize import (
 from repro.core.superposition import SuperpositionEngine
 from repro.gates import inverter
 from repro.mor import ReducedModel
+from repro.trust import AUDIT_TOLERANCE
 from repro.sim import simulate_linear
 from repro.units import FF, KOHM, NS, PS
 from repro.waveform import noise_pulse, triangular_pulse
@@ -164,6 +172,86 @@ def test_ablation_prima_order(benchmark, record):
     record("ablation_prima_order", table_text)
     assert errors == sorted(errors, reverse=True) or errors[-1] < 1e-4
     assert errors[-1] < 0.01  # order 12 is waveform-accurate
+
+
+def test_ablation_port_model_order(benchmark, model_cache, analyzer,
+                                   record):
+    """Moments per port of the extracted-scale port model.
+
+    On a generated tree above ``SPARSE_MIN_DIM``, each order's engine
+    runs the victim transition, every aggressor's noise and one noise
+    run held by the victim's Rtr, and its analysis; the errors are taken
+    against the same net on the full sparse path.  The time column is
+    the mean wall time of one of those transients.
+    """
+
+    def transients(engine, rtr):
+        runs = [engine.victim_transition()]
+        for agg in engine.net.aggressors:
+            runs.append(engine.aggressor_noise(agg.name))
+        runs.append(engine.aggressor_noise(engine.net.aggressors[0].name,
+                                           victim_r=rtr))
+        return runs
+
+    def build(moments):
+        """Engine and report with ``moments`` per port; None = full."""
+        with pytest.MonkeyPatch.context() as patch:
+            if moments is None:
+                patch.setattr(superposition, "stamps_sparse",
+                              lambda dim: False)
+            else:
+                patch.setattr(superposition, "PORT_MOMENTS", moments)
+            engine = SuperpositionEngine(net, cache=model_cache)
+            report = analyzer.analyze(net, alignment="input-objective")
+        return engine, report
+
+    def experiment():
+        full_engine, full = build(None)
+        start = time.perf_counter()
+        reference = transients(full_engine, full.rtr)
+        full_ms = 1e3 * (time.perf_counter() - start) / len(reference)
+        rows = []
+        results = {}
+        for moments in (4, 6, 8, 10, 12, 16):
+            engine, report = build(moments)
+            start = time.perf_counter()
+            runs = transients(engine, full.rtr)
+            sim_ms = 1e3 * (time.perf_counter() - start) / len(runs)
+            wave_err = max(
+                float(np.abs(g(w.times) - w.values).max()
+                      / np.abs(w.values).max())
+                for got, want in zip(runs, reference)
+                for g, w in ((got.at_receiver, want.at_receiver),
+                             (got.at_root, want.at_root)))
+            height = abs(report.pulse_height - full.pulse_height)
+            delay = max(abs(report.extra_delay_input
+                            - full.extra_delay_input),
+                        abs(report.extra_delay_output
+                            - full.extra_delay_output))
+            results[moments] = (wave_err, height, delay)
+            rows.append([moments, engine.port_model.order, wave_err,
+                         height, delay, sim_ms])
+        rows.append(["full", dim, 0.0, 0.0, 0.0, full_ms])
+        table = format_table(
+            ["moments/port", "order", "worst wave err (rel)",
+             "|d pulse height| (V)", "|d extra delay| (s)",
+             "ms/transient"],
+            rows, title=f"Ablation — port-model order ({dim} unknowns, "
+                        f"{len(net.aggressors) + 2} ports, pulse "
+                        f"{full.pulse_height:.3f} V)")
+        return table, results
+
+    net = NetGenerator(seed=1).large_tree(0, nodes=440)
+    dim = len(net.interconnect.nodes())
+    assert dim >= SPARSE_MIN_DIM
+    table, results = run_once(benchmark, experiment)
+    record("ablation_port_model_order", table)
+    # Order 12 (the engine's PORT_MOMENTS) is waveform-accurate, and its
+    # answers sit well inside the oracle audit's tolerance.
+    wave_err, height, delay = results[superposition.PORT_MOMENTS]
+    assert wave_err < 1e-6
+    assert height < 0.5 * AUDIT_TOLERANCE and delay < 1e-15
+    assert results[16][0] < results[8][0] < results[4][0]
 
 
 def test_ablation_mor_methods(benchmark, record):

@@ -43,7 +43,8 @@ except ImportError:  # pragma: no cover
     _sp = None
     HAVE_SPARSE = False
 
-__all__ = ["MnaSystem", "build_mna", "SPARSE_MIN_DIM", "sparse_threshold"]
+__all__ = ["MnaSystem", "build_mna", "SPARSE_MIN_DIM", "sparse_threshold",
+           "stamps_sparse"]
 
 # Stamping cache telemetry: hits mean a sweep reused one circuit's
 # stamped system instead of rebuilding it per candidate.  Every build —
@@ -183,9 +184,15 @@ class MnaSystem:
         return L
 
 
+def stamps_sparse(dim: int) -> bool:
+    """True when ``build_mna`` auto-selects the sparse backend for a
+    system of ``dim`` unknowns."""
+    return HAVE_SPARSE and dim >= SPARSE_MIN_DIM
+
+
 def _resolve_sparse(sparse: bool | None, dim: int) -> bool:
     if sparse is None:
-        return HAVE_SPARSE and dim >= SPARSE_MIN_DIM
+        return stamps_sparse(dim)
     if sparse and not HAVE_SPARSE:
         raise RuntimeError(
             "sparse MNA stamping requested but scipy is unavailable")

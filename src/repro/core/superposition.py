@@ -9,19 +9,31 @@ All linear simulations run in the **delta domain**: every waveform is the
 deviation from the pre-transition DC state.  This makes superposition and
 time-shifting exact (the network is LTI) and sidesteps bias bookkeeping —
 the absolute victim waveform is ``initial level + delta``.
+
+At extracted scale (a passive base the MNA stamper would store sparse)
+the engine PRIMA-reduces that base once to a port model, with one port
+per driver root plus the victim receiver, and runs every transient of
+the net on it: each use attaches its drivers at the ports as
+terminations of the reduced system (see
+:meth:`repro.mor.ReducedModel.from_ports`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuit.mna import build_mna
+import numpy as np
+
+from repro.circuit.mna import build_mna, stamps_sparse
 from repro.circuit.netlist import GROUND, Circuit
 from repro.core.net import CoupledNet, DriverSpec
-from repro.gates.ceff import effective_capacitance
+from repro.gates.ceff import PortLoad, effective_capacitance
 from repro.gates.thevenin import TheveninModel, TheveninTable
+from repro.mor.reduced import ReducedModel
 from repro.obs import get_logger, metrics
 from repro.sim.linear import simulate_linear
+from repro.sim.nonlinear import dense_reference_active
+from repro.sim.result import time_grid
 from repro.units import PS
 from repro.waveform import Waveform
 
@@ -31,6 +43,15 @@ __all__ = ["ModelCache", "SuperpositionEngine", "DriverSimOutput"]
 
 #: Key of the victim driver in the engine's model dictionaries.
 VICTIM = "victim"
+
+#: Block moments per port of the extracted-scale port model (reduced
+#: order ``PORT_MOMENTS * ports``).  On a 514-node tree the worst
+#: waveform error against the full sparse run falls from 1.3e-3 at 4
+#: moments per port to 5.2e-8 at 12 and 1.4e-9 at 16; 6 and 8 moments
+#: moved the pulse height by 8-9e-10 V, close to the oracle audit's
+#: 1e-9 tolerance (``repro.trust.AUDIT_TOLERANCE``), 12 by 1.9e-10 V
+#: (``benchmarks/results/ablation_port_model_order.txt``).
+PORT_MOMENTS = 12
 
 
 class ModelCache:
@@ -96,6 +117,12 @@ class SuperpositionEngine:
     :meth:`victim_transition` and :meth:`aggressor_noise` run individual
     linear simulations; launches can be shifted per-aggressor, which is
     what the alignment search manipulates.
+
+    Each distinct circuit — a switching driver and the resistance of
+    every held one — is simulated once, unshifted, and kept as its
+    receiver and root waveforms; shifts and repeats reuse them.  On an
+    extracted-scale net (:attr:`port_model` set) those simulations and
+    the Ceff iterations run on the reduced port model.
     """
 
     def __init__(self, net: CoupledNet, *, cache: ModelCache | None = None,
@@ -113,14 +140,17 @@ class SuperpositionEngine:
             self._roots[agg.name] = agg.root
 
         self.base = self._passive_base()
+        self._ports = [*self._roots.values(), net.victim_receiver_node]
+        self._port_index = {key: i for i, key in enumerate(self._roots)}
+        self.port_model = self._reduce_base()
         self.ceffs: dict[str, float] = {}
         self.models: dict[str, TheveninModel] = {}
         self._characterize_all()
 
         self.t_stop = t_stop if t_stop is not None else self._horizon()
-        # One MNA per switching driver (holding resistors differ), built
-        # lazily and reused across shifted launches of the same driver.
-        self._mna_cache: dict = {}
+        # (switching driver, held resistances) -> unshifted waveforms at
+        # the receiver and every driver root.
+        self._runs: dict[tuple, dict[str, Waveform]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -135,21 +165,46 @@ class SuperpositionEngine:
                                driver.gate.output_capacitance())
         return base
 
-    def _characterize_all(self) -> None:
-        vdd = self.net.vdd
-        # First pass: holding resistors from crude drive estimates.
-        holding = {
+    def _crude_holding(self) -> dict[str, float]:
+        """Each driver's holding resistance from its drive estimate."""
+        return {
             key: drv.gate.drive_resistance_estimate(not drv.output_rising)
             for key, drv in self._drivers.items()
         }
+
+    def _reduce_base(self) -> ReducedModel | None:
+        """The base reduced once to a port model, or None where the full
+        net is simulated: below the sparse threshold, and under the
+        dense reference, so that an oracle run also checks the
+        reduction."""
+        if (not stamps_sparse(len(self.base.nodes()))
+                or dense_reference_active()):
+            return None
+        # The base floats at DC: expand about the crude holders.
+        reference = [1.0 / r for r in self._crude_holding().values()]
+        return ReducedModel.from_ports(
+            build_mna(self.base), self._ports,
+            PORT_MOMENTS * len(self._ports), [*reference, 0.0])
+
+    def _port_load(self, key: str, holding: dict[str, float]) -> PortLoad:
+        """Driver ``key``'s port, every other driver held by
+        ``holding``."""
+        g = np.zeros(len(self._ports))
+        for other, resistance in holding.items():
+            if other != key:
+                g[self._port_index[other]] = 1.0 / resistance
+        return PortLoad(self.port_model, self._port_index[key], g)
+
+    def _characterize_all(self) -> None:
+        vdd = self.net.vdd
+        # First pass: holding resistors from crude drive estimates.
+        holding = self._crude_holding()
         # Two passes: the second re-derives Ceff with fitted Rth holders.
         for _ in range(2):
             for key, driver in self._drivers.items():
-                seen = self.base.copy(f"{self.net.name}_{key}_view")
-                for other, r_hold in holding.items():
-                    if other != key:
-                        seen.add_resistor(f"__hold_{other}",
-                                          self._roots[other], GROUND, r_hold)
+                seen = (self._port_load(key, holding)
+                        if self.port_model is not None
+                        else self._view(key, holding))
                 table = self.cache.table_for(driver)
                 ceff, model = effective_capacitance(
                     table.lookup, seen, self._roots[key], vdd)
@@ -168,16 +223,21 @@ class SuperpositionEngine:
                          + 25.0 * tau)
         return latest + 0.3e-9
 
+    def _view(self, key: str, holding: dict[str, float]) -> Circuit:
+        """The base with every driver but ``key`` held by ``holding``."""
+        view = self.base.copy(f"{self.net.name}_{key}_view")
+        for other, resistance in holding.items():
+            if other != key:
+                view.add_resistor(f"__hold_{other}", self._roots[other],
+                                  GROUND, resistance)
+        return view
+
     def driver_view(self, key: str) -> Circuit:
         """The passive net a driver sees: base + other drivers' holders."""
         if key not in self._drivers:
             raise KeyError(f"unknown driver {key!r}")
-        view = self.base.copy(f"{self.net.name}_{key}_view")
-        for other, model in self.models.items():
-            if other != key:
-                view.add_resistor(f"__hold_{other}", self._roots[other],
-                                  GROUND, model.rth)
-        return view
+        return self._view(key, {other: model.rth
+                                for other, model in self.models.items()})
 
     # ------------------------------------------------------------------
     # Simulations
@@ -191,37 +251,50 @@ class SuperpositionEngine:
         for specific held drivers.  ``observe_root`` selects which
         driver's root to report (default: the victim's).
 
-        The circuit topology for a given (switching, overrides) pair is
+        The circuit for a given switching driver and held resistances is
         fixed; only the source waveform moves with ``shift``.  By linear
         time invariance a shifted launch produces an identically shifted
-        response, so the simulation always runs at shift 0 and the output
-        is shifted afterwards — one LU factorization per topology.
+        response, so each circuit is simulated once at shift 0 and the
+        output is shifted afterwards.  An override equal to a driver's
+        own Rth is the same circuit, and shares its simulation.
         """
         holding_overrides = holding_overrides or {}
-        key = (switching, tuple(sorted(holding_overrides.items())))
-        if key not in self._mna_cache:
-            circuit = self.base.copy(f"{self.net.name}_{switching}_sim")
-            driver = self._drivers[switching]
-            model = self.models[switching].shifted(driver.input_start)
-            model.install_switching(circuit, "__sw_", self._roots[switching])
-            for other, other_model in self.models.items():
-                if other == switching:
-                    continue
-                resistance = holding_overrides.get(other, other_model.rth)
-                other_model.install_holding(circuit, f"__h_{other}_",
-                                            self._roots[other], resistance)
-            self._mna_cache[key] = build_mna(circuit)
-        mna = self._mna_cache[key]
-
-        result = simulate_linear(mna, self.t_stop, self.dt)
-        at_receiver = result.voltage(self.net.victim_receiver_node)
-        root_node = observe_root if observe_root is not None \
-            else self.net.victim_root
-        at_root = result.voltage(root_node)
+        holding = {other: holding_overrides.get(other, model.rth)
+                   for other, model in self.models.items()
+                   if other != switching}
+        key = (switching, tuple(holding.values()))
+        run = self._runs.get(key)
+        if run is None:
+            run = self._runs[key] = self._run(switching, holding)
+        at_receiver = run[self.net.victim_receiver_node]
+        at_root = run[observe_root if observe_root is not None
+                      else self.net.victim_root]
         if shift:
             at_receiver = at_receiver.shifted(shift)
             at_root = at_root.shifted(shift)
         return DriverSimOutput(at_receiver=at_receiver, at_root=at_root)
+
+    def _run(self, switching: str,
+             holding: dict[str, float]) -> dict[str, Waveform]:
+        """Unshifted delta-domain waveforms at the receiver and at every
+        driver root, ``switching`` driving and the others held."""
+        driver = self._drivers[switching]
+        model = self.models[switching].shifted(driver.input_start)
+        if self.port_model is not None:
+            times = time_grid(self.t_stop, self.dt)
+            return self._port_load(switching, holding).simulate(
+                model, times)[0]
+        circuit = self.base.copy(f"{self.net.name}_{switching}_sim")
+        model.install_switching(circuit, "__sw_", self._roots[switching])
+        for other, resistance in holding.items():
+            self.models[other].install_holding(
+                circuit, f"__h_{other}_", self._roots[other], resistance)
+        result = simulate_linear(circuit, self.t_stop, self.dt)
+        # Copies: a row view would pin the whole state matrix.
+        return {node: Waveform(result.times,
+                               result.states[result.mna.index_of(node)]
+                               .copy())
+                for node in self._ports}
 
     def victim_transition(self, *, aggressor_r: dict[str, float] | None
                           = None) -> DriverSimOutput:

@@ -12,6 +12,11 @@ at that load, and repeats to a fixed point.
 admittance to the classic O'Brien/Savarino π model from its first three
 admittance moments; the π total capacitance also provides the iteration's
 starting point and upper bound.
+
+At extracted scale the iteration runs on a reduced-order port model
+instead of the full net (:class:`PortLoad`): the driver attaches at its
+port as a termination of the reduced system, so no iteration copies or
+simulates the full interconnect.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from repro.circuit.mna import build_mna
 from repro.circuit.netlist import GROUND, Circuit
 from repro.gates.thevenin import TheveninModel
 from repro.mor.prima import transfer_moments
+from repro.mor.reduced import ReducedModel
 from repro.sim.linear import simulate_linear
+from repro.sim.result import time_grid
+from repro.waveform import Waveform
 
-__all__ = ["PiModel", "driving_point_pi", "admittance_moments",
+__all__ = ["PiModel", "PortLoad", "driving_point_pi", "admittance_moments",
            "effective_capacitance"]
 
 
@@ -103,16 +111,73 @@ def driving_point_pi(net: Circuit, port: str) -> PiModel:
     return PiModel(c_near=y1 - c_far, r=r, c_far=c_far)
 
 
+@dataclass(frozen=True)
+class PortLoad:
+    """One driver's port on a reduced port model, the others terminated.
+
+    ``model`` is a bare port model (:meth:`ReducedModel.from_ports`),
+    ``port`` the index of the driven port and ``conductances`` the
+    termination of every port in siemens (the driven port's entry is
+    replaced by the driver's own conductance).
+    """
+
+    model: ReducedModel
+    port: int
+    conductances: np.ndarray
+
+    def simulate(self, thevenin: TheveninModel, times: np.ndarray
+                 ) -> tuple[dict[str, Waveform], np.ndarray]:
+        """Delta-domain port waveforms with ``thevenin`` driving the port
+        in Norton form (``1 / Rth`` to ground plus the current
+        ``v_src(t) / Rth``), and the source values ``v_src`` on
+        ``times``."""
+        g = np.array(self.conductances, dtype=float)
+        g[self.port] = 1.0 / thevenin.rth
+        v_src = thevenin.source_delta()(times)
+        inputs = np.zeros((g.size, times.size))
+        inputs[self.port] = v_src / thevenin.rth
+        return self.model.terminated(g).simulate(times, inputs), v_src
+
+    def total_cap(self) -> float:
+        """First driving-point admittance moment ``y1``, the quantity
+        :func:`admittance_moments` measures on a circuit.
+
+        Any conductance ``g`` at the port makes the port impedance
+        ``Z = 1 / (Y + g)`` finite at DC without touching ``y1``:
+        ``Z = z0 + z1 s + ...`` gives ``y1 = -z1 / z0^2``.  One on the
+        scale of the holders keeps ``Z`` well conditioned.
+        """
+        g = np.array(self.conductances, dtype=float)
+        g[self.port] = g.max() or 1.0
+        z0, z1 = (m[self.port, self.port]
+                  for m in self.model.terminated(g).moments(2))
+        return float(-z1 / (z0 * z0))
+
+
+def _drive(net: Circuit | PortLoad, port: str, model: TheveninModel,
+           t_stop: float, dt: float) -> tuple[Waveform, Waveform]:
+    """Port and source waveforms of ``model`` driving ``net`` at
+    ``port``."""
+    if isinstance(net, PortLoad):
+        times = time_grid(t_stop, dt)
+        ports, v_src = net.simulate(model, times)
+        return ports[port], Waveform(times, v_src)
+    trial = net.copy(f"{net.name}_ceff")
+    model.install_switching(trial, "drv_", port)
+    result = simulate_linear(trial, t_stop, dt)
+    return result.voltage(port), result.voltage("drv_src")
+
+
 def effective_capacitance(
     thevenin_for: Callable[[float], TheveninModel],
-    net: Circuit,
+    net: Circuit | PortLoad,
     port: str,
     vdd: float,
     *,
     tolerance: float = 1e-3,
     max_iterations: int = 25,
 ) -> tuple[float, TheveninModel]:
-    """C-effective fixed-point iteration against the full net.
+    """C-effective fixed-point iteration against the net.
 
     Parameters
     ----------
@@ -122,7 +187,8 @@ def effective_capacitance(
     net:
         The passive net as seen by this driver: interconnect, receiver
         input caps, the driver's own diffusion cap at ``port``, and
-        holding resistances for every *other* driver.
+        holding resistances for every *other* driver — as a circuit, or
+        as a :class:`PortLoad` on the net's reduced port model.
     port:
         Node where the driver output attaches.
     vdd:
@@ -135,13 +201,14 @@ def effective_capacitance(
 
     Notes
     -----
-    Each iteration simulates the current Thevenin model against the full
+    Each iteration simulates the current Thevenin model against the
     net and matches delivered charge at the port's 50% crossing:
     ``Ceff = Q(t50) / (vdd / 2)`` — a lumped Ceff absorbs exactly that
     charge when driven to vdd/2.  Convergence is damped (average of old
     and new) and monotone in practice; 3-6 iterations are typical.
     """
-    total_cap = float(admittance_moments(net, port, count=2)[1])
+    total_cap = (net.total_cap() if isinstance(net, PortLoad)
+                 else float(admittance_moments(net, port, count=2)[1]))
     if total_cap <= 0.0:
         raise ValueError(f"no capacitance visible at {port!r}")
 
@@ -155,11 +222,7 @@ def effective_capacitance(
         t_stop = model.t0 + model.dt + 20.0 * tau + 1e-11
         dt = max(t_stop / 1200.0, 1e-14)
 
-        trial = net.copy(f"{net.name}_ceff")
-        model.install_switching(trial, "drv_", port)
-        result = simulate_linear(trial, t_stop, dt)
-        v_port = result.voltage(port)
-        v_src = result.voltage("drv_src")
+        v_port, v_src = _drive(net, port, model, t_stop, dt)
 
         half = 0.5 * model.delta_v
         try:
@@ -170,7 +233,7 @@ def effective_capacitance(
             # treat the full window as charge-accumulation time.
             t50 = t_stop
         current = (v_src - v_port) * (1.0 / model.rth)
-        charge = current.clipped(result.times[0], t50).integral()
+        charge = current.clipped(v_port.t_start, t50).integral()
         ceff_new = min(max(abs(charge) / (vdd / 2.0), floor), total_cap)
 
         delta = ceff_new - ceff

@@ -7,7 +7,9 @@ simulation in the superposition loop.
 
 * :mod:`repro.mor.prima` — the block-Arnoldi PRIMA projection;
   :mod:`repro.mor.reduced` wraps the reduced system for transient
-  simulation and moment checks.
+  simulation and moment checks, including the multi-port model the
+  superposition engine reduces once per extracted-scale net and
+  terminates per driver run.
 * :mod:`repro.mor.awe` — AWE-style moment-matched Padé poles with exact
   closed-form PWL responses (the technique PRIMA superseded; still the
   fastest way to an analytic estimate).

@@ -19,7 +19,7 @@ semidefinite, as they are for RC circuits with current-source inputs —
 preserves passivity, because congruence preserves definiteness.
 
 ``G`` and ``C`` may be dense or scipy sparse: ``G + s0 C`` is factored
-once through :class:`~repro.sim.factor.Factorization` (SuperLU when
+once through :func:`~repro.sim.factor.factorize` (SuperLU when
 sparse) and the reduced matrices are formed as ``V^T (G V)``, so an
 extracted-scale system is never densified.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.factor import Factorization, is_sparse_matrix
+from repro.sim.factor import factorize, is_sparse_matrix
 
 __all__ = ["prima_reduce", "transfer_moments"]
 
@@ -50,7 +50,7 @@ def _shifted_solver(G, C, s0: float):
     """Factor ``G + s0*C`` once; return a solve that rejects a singular
     expansion point."""
     try:
-        fact = Factorization(G + s0 * C if s0 != 0.0 else G)
+        fact = factorize(G + s0 * C if s0 != 0.0 else G)
     except np.linalg.LinAlgError as exc:
         raise ValueError(_SINGULAR) from exc
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy import sparse as _sp
 
 from repro.circuit.mna import MnaSystem
 from repro.mor.prima import prima_reduce, transfer_moments
-from repro.sim.result import time_grid
+from repro.sim.factor import factorize, is_sparse_matrix
+from repro.sim.linear import step_audit
 from repro.waveform import Waveform
 
 __all__ = ["ReducedModel"]
@@ -16,9 +17,10 @@ __all__ = ["ReducedModel"]
 class ReducedModel:
     """A reduced-order ``Cr z' + Gr z = Br u, y = Lr^T z`` system.
 
-    Built once per interconnect with :meth:`from_mna` and then re-simulated
-    cheaply for each driver in the superposition flow — the workflow the
-    paper attributes to PRIMA (its reference [2]).
+    Built once per interconnect with :meth:`from_mna` or
+    :meth:`from_ports` and then re-simulated cheaply for each driver in
+    the superposition flow — the workflow the paper attributes to PRIMA
+    (its reference [2]).
     """
 
     def __init__(self, Gr: np.ndarray, Cr: np.ndarray, Br: np.ndarray,
@@ -44,6 +46,40 @@ class ReducedModel:
         return cls(parts["Gr"], parts["Cr"], parts["Br"], parts["Lr"],
                    output_nodes)
 
+    @classmethod
+    def from_ports(cls, mna: MnaSystem, ports: list[str], order: int,
+                   reference) -> "ReducedModel":
+        """Reduce a passive network driven and observed at ``ports``.
+
+        Input ``i`` is a current injected into ``ports[i]`` and output
+        ``i`` that node's voltage.  The model is of the bare network, to
+        be closed per use with :meth:`terminated`: a conductance ``D``
+        attached at the ports turns ``G`` into ``G + P D P^T`` (``P``
+        the port incidence), and by the Woodbury identity
+        ``(G + P D P^T)^-1 P`` spans the columns of ``G^-1 P``, so every
+        block of the Krylov space is unchanged.  One basis therefore
+        matches ``order / len(ports)`` block moments of the network
+        under every termination.  A network that floats at DC has no
+        ``G^-1``: the basis is built on ``G`` plus ``reference[i]``
+        siemens from each port to ground.
+        """
+        P = mna.output_incidence(ports)
+        shunt = P @ np.asarray(reference, dtype=float)
+        G0 = mna.G + (_sp.diags(shunt) if is_sparse_matrix(mna.G)
+                      else np.diag(shunt))
+        parts = prima_reduce(G0, mna.C, P, order, L=P)
+        V = parts["V"]
+        return cls(V.T @ (mna.G @ V), parts["Cr"], parts["Br"],
+                   parts["Lr"], ports)
+
+    def terminated(self, conductances) -> "ReducedModel":
+        """This port model with ``conductances[i]`` siemens from input
+        port ``i`` to ground: ``Gr + Br diag(g) Br^T``, the projection
+        of the terminated network on the same basis."""
+        g = np.asarray(conductances, dtype=float)
+        return ReducedModel(self.Gr + (self.Br * g) @ self.Br.T, self.Cr,
+                            self.Br, self.Lr, self.output_names)
+
     @property
     def order(self) -> int:
         return self.Gr.shape[0]
@@ -52,13 +88,20 @@ class ReducedModel:
                  inputs: np.ndarray) -> dict[str, Waveform]:
         """Trapezoidal transient of the reduced system.
 
+        The step matrix is constant on the uniform grid, so its factors
+        are applied once to the step matrix and to every averaged input
+        column: each step is then one ``q x q`` mat-vec.  With the trust
+        layer on, sampled steps are verified against the raw trapezoidal
+        system exactly as :func:`repro.sim.linear.simulate_linear`
+        verifies its own (same stride, same tolerance).
+
         Parameters
         ----------
         times:
             Uniform time grid.
         inputs:
             Input values, shape ``(p, len(times))`` in the input order of
-            :meth:`from_mna`.
+            :meth:`from_mna` (or the port order of :meth:`from_ports`).
 
         Returns
         -------
@@ -72,19 +115,27 @@ class ReducedModel:
         h = times[1] - times[0]
         A = self.Cr / h + self.Gr / 2.0
         Bm = self.Cr / h - self.Gr / 2.0
-        lu, piv = scipy.linalg.lu_factor(A)
+        fact = factorize(A)
 
         rhs = self.Br @ inputs
         try:
             z = np.linalg.solve(self.Gr, rhs[:, 0])
         except np.linalg.LinAlgError:
             z, *_ = np.linalg.lstsq(self.Gr, rhs[:, 0], rcond=None)
-        outputs = np.empty((self.Lr.shape[1], times.size))
-        outputs[:, 0] = self.Lr.T @ z
+        raw_avg = 0.5 * (rhs[:, :-1] + rhs[:, 1:])
+        step_matrix = fact.solve(Bm)
+        rhs_avg = fact.solve(raw_avg)
+        audit = step_audit(A, times.size - 1)
+        states = np.empty((self.order, times.size))
+        states[:, 0] = z
         for k in range(times.size - 1):
-            b = Bm @ z + 0.5 * (rhs[:, k] + rhs[:, k + 1])
-            z = scipy.linalg.lu_solve((lu, piv), b)
-            outputs[:, k + 1] = self.Lr.T @ z
+            z_prev = z
+            z = step_matrix @ z + rhs_avg[:, k]
+            if audit is not None and audit.due(k):
+                z = audit.verify(z, Bm @ z_prev + raw_avg[:, k],
+                                 f"t={times[k + 1]:.3e}s reduced step")
+            states[:, k + 1] = z
+        outputs = self.Lr.T @ states
         return {
             name: Waveform(times, outputs[i])
             for i, name in enumerate(self.output_names)

@@ -203,12 +203,10 @@ class Factorization:
 def factorize(matrix) -> Factorization:
     """Factor ``matrix`` once for repeated :meth:`Factorization.solve`.
 
-    Each new factorization is condition-monitored through
-    :func:`repro.trust.observe_factorization` (a no-op when the trust
-    layer is disabled).
+    The one function that factors: every solver and reducer calls it,
+    never the class, so a wrapper around it sees all factoring work.
+    Condition monitoring (:func:`repro.trust.observe_factorization`) is
+    the caller's choice: a factorization that serves solves is observed
+    by the solver that uses it.
     """
-    from repro import trust
-
-    fact = Factorization(matrix)
-    trust.observe_factorization(fact)
-    return fact
+    return Factorization(matrix)

@@ -35,7 +35,7 @@ from repro.resilience.faults import fire as _fire_fault
 from repro.sim.factor import factorize, is_sparse_matrix
 from repro.sim.result import SimulationResult, time_grid
 
-__all__ = ["simulate_linear"]
+__all__ = ["simulate_linear", "step_audit"]
 
 #: Linear-step audits sample 4x sparser than the Newton wrapper: the
 #: check costs up to two extra mat-vecs against a one-mat-vec step, so
@@ -44,16 +44,26 @@ _LINEAR_CHECK_STRIDE = 4
 
 
 class _StepAudit:
-    """Sampled residual audit for the trapezoidal time loop."""
+    """Sampled residual audit for a trapezoidal time loop.
 
-    __slots__ = ("A", "anorm", "tol", "dense_A")
+    Step ``k`` (the solve producing state ``k + 1``) is due when ``k``
+    is a multiple of the stride or the loop's last step.
+    """
 
-    def __init__(self, A):
+    __slots__ = ("A", "anorm", "tol", "dense_A", "stride", "last")
+
+    def __init__(self, A, steps: int):
         self.A = A
         self.anorm = _trust.matrix_norm1(A)
         self.tol = _trust.residual_tolerance(
             A.shape[0], _trust.config().linear_rtol)
         self.dense_A = None
+        self.stride = (_LINEAR_CHECK_STRIDE
+                       * max(1, _trust.config().check_interval))
+        self.last = steps - 1
+
+    def due(self, k: int) -> bool:
+        return k % self.stride == 0 or k == self.last
 
     def verify(self, x: np.ndarray, b: np.ndarray,
                context: str) -> np.ndarray:
@@ -95,10 +105,23 @@ class _StepAudit:
             f"({detail}) and the dense re-solve did not repair it")
 
 
+def step_audit(A, steps: int) -> _StepAudit | None:
+    """The sampled residual audit of a ``steps``-step trapezoidal loop
+    over the left-hand matrix ``A``, or None with the trust layer off.
+
+    Shared by :func:`simulate_linear` and the reduced-order transient
+    (:meth:`repro.mor.ReducedModel.simulate`), so both verify the same
+    share of their steps against the same tolerance.
+    """
+    return _StepAudit(A, steps) if _trust.trust_enabled() else None
+
+
 def _dc_solve(G: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
     if is_sparse_matrix(G):
         try:
-            return factorize(G).solve(rhs0)
+            fact = factorize(G)
+            _trust.observe_factorization(fact)
+            return fact.solve(rhs0)
         except np.linalg.LinAlgError:
             # Singular at DC (floating coupling-only nodes): fall back
             # to the dense minimum-norm solution — a one-off cost, off
@@ -150,14 +173,9 @@ def simulate_linear(circuit_or_mna: Circuit | MnaSystem, t_stop: float,
     # The left-hand matrix is constant on the uniform grid: factor it
     # once (repro.sim.factor, shared with the non-linear kernel).
     fact = factorize(A)
+    _trust.observe_factorization(fact)
     raw_avg = 0.5 * (rhs[:, :-1] + rhs[:, 1:])
-    audit = _StepAudit(A) if _trust.trust_enabled() else None
-    stride = (_LINEAR_CHECK_STRIDE
-              * max(1, _trust.config().check_interval))
-    last = times.size - 2
-
-    def checked(k: int) -> bool:
-        return audit is not None and (k % stride == 0 or k == last)
+    audit = step_audit(A, times.size - 1)
 
     states = np.empty((mna.dim, times.size))
     states[:, 0] = x0
@@ -172,7 +190,7 @@ def simulate_linear(circuit_or_mna: Circuit | MnaSystem, t_stop: float,
         for k in range(times.size - 1):
             bx = Bmat @ x
             x = fact.solve(bx) + rhs_avg[:, k]
-            if checked(k):
+            if audit is not None and audit.due(k):
                 x = audit.verify(x, bx + raw_avg[:, k],
                                  f"t={times[k + 1]:.3e}s linear step")
             states[:, k + 1] = x
@@ -185,7 +203,7 @@ def simulate_linear(circuit_or_mna: Circuit | MnaSystem, t_stop: float,
     for k in range(times.size - 1):
         x_prev = x
         x = step_matrix @ x + rhs_avg[:, k]
-        if checked(k):
+        if audit is not None and audit.due(k):
             x = audit.verify(x, Bmat @ x_prev + raw_avg[:, k],
                              f"t={times[k + 1]:.3e}s linear step")
         states[:, k + 1] = x

@@ -98,7 +98,7 @@ from repro.obs import metrics
 from repro.resilience.faults import InjectedCorruption
 from repro.resilience.faults import active_plan as _active_plan
 from repro.resilience.faults import fire as _fire_fault
-from repro.sim.factor import Factorization, factorize, is_sparse_matrix
+from repro.sim.factor import factorize, is_sparse_matrix
 from repro.sim.result import SimulationResult, time_grid
 
 try:  # pragma: no cover - container ships scipy; gate for safety
@@ -186,6 +186,16 @@ def dense_reference(enabled: bool = True):
         yield
     finally:
         _REFERENCE = previous
+
+
+def dense_reference_active() -> bool:
+    """True inside :func:`dense_reference`.
+
+    Callers with a fast path of their own read it too: the
+    superposition engine builds no reduced-order port model under the
+    reference, so an oracle run simulates the full interconnect.
+    """
+    return _REFERENCE
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +465,7 @@ def _woodbury_base(A, batch: _DeviceBatch):
     if 2 * batch.k > dim:
         return None
     try:
-        fact = Factorization(A)
+        fact = factorize(A)
     except np.linalg.LinAlgError:
         return None
     rcond = fact.rcond_estimate()
@@ -726,7 +736,11 @@ class _NewtonKernel:
             if batch.k:
                 J[batch.rows] += batch.correction(D)
         try:
-            return factorize(J).solve(R) if sparse else np.linalg.solve(J, R)
+            if not sparse:
+                return np.linalg.solve(J, R)
+            fact = factorize(J)
+            _trust.observe_factorization(fact)
+            return fact.solve(R)
         except np.linalg.LinAlgError as exc:
             _SINGULAR.inc()
             raise ConvergenceError(

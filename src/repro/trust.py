@@ -17,11 +17,12 @@ in:
   ``check_interval`` accepted solves to keep the clean-path overhead
   small; installing a fault plan bypasses the stride so injected
   corruption always faces the audit.
-* **Condition monitoring** — each new
-  :class:`~repro.sim.factor.Factorization` reports a reciprocal
-  condition estimate through :func:`observe_factorization`; estimates
-  below ``rcond_min`` raise the ``trust.condition_warnings`` counter
-  and a log warning.  The same threshold routes a Newton kernel off a
+* **Condition monitoring** — each factorization that serves a
+  transient's solves (the linear step and sparse DC matrices, the
+  sparse exact-Newton Jacobian, an accepted Woodbury base) reports a
+  reciprocal condition estimate through :func:`observe_factorization`;
+  estimates below ``rcond_min`` raise the ``trust.condition_warnings``
+  counter and a log warning.  The same threshold routes a Newton kernel off a
   base factor to exact Newton (``repro.sim.nonlinear._woodbury_base``),
   with the layer on or off.
 * **Escalation ladder** — on a residual violation the solver walks
@@ -32,7 +33,9 @@ in:
   instead of silently returning the suspect state.
 * **Differential audits** — :func:`run_audit` re-runs a seeded random
   sample of screened nets through the dense reference solve and
-  compares the headline numbers (``screen --audit-rate P``).
+  compares the headline numbers (``screen --audit-rate P``).  The
+  oracle run also simulates an extracted-scale net's full interconnect
+  rather than its reduced port model.
 
 Tolerances are deliberately conservative (orders of magnitude above
 any legitimate accepted state, orders below a corrupted one): a clean

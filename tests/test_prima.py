@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro import trust
+from repro.bench.netgen import NetGenerator
 from repro.circuit import Circuit, GROUND, build_mna
 from repro.circuit.topology import couple_nodes, rc_line
 from repro.mor import ReducedModel, prima_reduce, transfer_moments
+from repro.obs import metrics
+from repro.resilience.faults import (
+    FaultPlan,
+    FaultSpec,
+    clear_faults,
+    install_faults,
+)
 from repro.sim import simulate_linear, time_grid
 from repro.units import FF, KOHM, NS, PS
 from repro.waveform import triangular_pulse
@@ -139,3 +149,82 @@ class TestTransientAccuracy:
         mna = build_mna(circuit)
         model = ReducedModel.from_mna(mna, ["out"], 8)
         assert model.order <= 8 < mna.dim
+
+
+class TestPortModel:
+    """One reduction of a floating network, terminated per use at its
+    ports (``ReducedModel.from_ports`` / ``terminated``)."""
+
+    PORTS = ["v_root", "a0_root", "a1_root", "v_rcv"]
+    REFERENCE = [1 / 900.0, 1 / 300.0, 1 / 300.0, 0.0]
+    MOMENTS = 12
+    #: Two termination sets, neither the reference; the second also
+    #: loads the receiver port.
+    TERMINATIONS = ([1 / 1200.0, 1 / 250.0, 1 / 400.0, 0.0],
+                    [1 / 3000.0, 1 / 150.0, 1 / 800.0, 1 / 5e4])
+
+    @staticmethod
+    def tree_mna(sparse: bool):
+        net = NetGenerator(seed=3).large_tree(nodes=200, n_aggressors=2)
+        return build_mna(net.interconnect, sparse=sparse)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_terminations_keep_block_moments(self, sparse):
+        """Conductances at the ports leave the Krylov space unchanged, so
+        one basis matches 12 block port moments of every terminated
+        network."""
+        mna = self.tree_mna(sparse)
+        model = ReducedModel.from_ports(
+            mna, self.PORTS, self.MOMENTS * len(self.PORTS), self.REFERENCE)
+        assert model.order == self.MOMENTS * len(self.PORTS) < mna.dim
+        P = mna.output_incidence(self.PORTS)
+        for g in map(np.asarray, self.TERMINATIONS):
+            shunt = P @ g
+            G = mna.G + (sp.diags(shunt) if sparse else np.diag(shunt))
+            want = transfer_moments(G, mna.C, P, P, self.MOMENTS)
+            got = model.terminated(g).moments(self.MOMENTS)
+            for k, (a, b) in enumerate(zip(got, want)):
+                np.testing.assert_allclose(
+                    a, b, rtol=1e-9, atol=1e-9 * np.abs(b).max(),
+                    err_msg=f"moment {k}")
+
+    def test_reduced_steps_are_audited(self):
+        """With the trust layer on, the reduced transient verifies
+        sampled steps like ``simulate_linear`` and repairs a corrupted
+        one exactly; with it off it checks nothing."""
+        model = ReducedModel.from_ports(
+            self.tree_mna(True), self.PORTS, 24, self.REFERENCE
+        ).terminated(self.TERMINATIONS[0])
+        times = time_grid(2 * NS, 1 * PS)
+        inputs = np.zeros((len(self.PORTS), times.size))
+        inputs[1] = np.clip(times / (0.1 * NS), 0.0, 1.0) * 1.8 / 250.0
+        checks = metrics().counter("trust.residual_checks")
+        with trust.trust_mode(False):
+            before = checks.value
+            off = model.simulate(times, inputs)
+            assert checks.value == before
+        with trust.trust_mode(True):
+            before = checks.value
+            clean = model.simulate(times, inputs)
+            # Every stride-th step plus the last (the stride of
+            # simulate_linear: 4 x check_interval).
+            stride = 4 * max(1, trust.config().check_interval)
+            last = times.size - 2
+            assert last % stride
+            assert checks.value - before == last // stride + 2
+            trust.drain_events()
+            install_faults(FaultPlan(specs=[FaultSpec(
+                point="trust.verify", match="reduced step", action="nan",
+                times=1)]))
+            try:
+                faulted = model.simulate(times, inputs)
+            finally:
+                clear_faults()
+        hops = {e["hop"] for e in trust.drain_events()
+                if e["kind"] == "escalated"}
+        assert hops == {"fresh-solve"}
+        for node in self.PORTS:
+            assert np.array_equal(clean[node].values, off[node].values)
+            np.testing.assert_allclose(faulted[node].values,
+                                       clean[node].values,
+                                       rtol=0, atol=1e-12)

@@ -234,6 +234,43 @@ class TestFactorizationBackends:
         assert not is_sparse_matrix([[1.0]])
 
 
+class TestOneFactorizer:
+    """Every factorization goes through ``factorize``, so a wrapper
+    around it (the benchmark's ``sim.factor`` row) sees PRIMA's and the
+    Woodbury bases' too; condition monitoring stays with the solvers
+    that monitored before."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import repro.mor.prima as prima
+        import repro.sim.nonlinear as nonlinear
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return factorize(matrix)
+
+        for module in (prima, nonlinear):
+            monkeypatch.setattr(module, "factorize", counting)
+        return calls
+
+    def test_prima_and_woodbury_factor_through_factorize(self, counted):
+        from repro import trust
+        observed = metrics().counter("trust.factorizations")
+        mna = build_mna(norton_pair(), sparse=True)
+        with trust.trust_mode(True):
+            before = observed.value
+            prima_reduce(mna.G, mna.C, mna.input_incidence(), 6)
+            assert counted == [mna.G.shape]
+            assert observed.value == before  # PRIMA is not monitored
+            simulate_linear(mna, 0.2 * NS, 1 * PS)
+            assert observed.value == before + 2  # DC solve and step
+            simulate_nonlinear(inverter_circuit(ramp(0.1 * NS, 0.1 * NS,
+                                                     0.0, VDD)),
+                               0.3 * NS, 1 * PS)
+        assert len(counted) > 1  # and the Woodbury base
+
+
 class TestSparseSimulators:
     def test_simulate_linear_sparse_matches_dense(self):
         c = coupled_rc_circuit()

@@ -1,9 +1,16 @@
 """Tests for repro.core.superposition (the Figure-1 flow)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+import repro.core.superposition as superposition
+from repro import trust
+from repro.bench.netgen import NetGenerator
+from repro.circuit.mna import sparse_threshold
 from repro.core.superposition import VICTIM, ModelCache, SuperpositionEngine
+from repro.sim.nonlinear import dense_reference
 from repro.units import FF, NS, PS
 
 VDD = 1.8
@@ -132,3 +139,118 @@ class TestAgainstGolden:
         t_lin = lin.crossing_time(VDD / 2, rising=True)
         t_gold = gold.at_receiver_input.crossing_time(VDD / 2, rising=True)
         assert t_lin == pytest.approx(t_gold, abs=10 * PS)
+
+
+class TestTransientMemo:
+    """One linear transient per circuit: shifts, repeats and an override
+    equal to the default Rth reuse it."""
+
+    def test_repeat_shift_and_default_override_reuse_one_run(
+            self, two_aggressor_net, model_cache, monkeypatch):
+        engine = SuperpositionEngine(two_aggressor_net, cache=model_cache)
+        calls = []
+        real = superposition.simulate_linear
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(superposition, "simulate_linear", counting)
+        first = engine.aggressor_noise("agg0")
+        assert len(calls) == 1
+        shift = 0.3 * NS
+        again = engine.aggressor_noise("agg0")
+        same_r = engine.aggressor_noise(
+            "agg0", victim_r=engine.models[VICTIM].rth)
+        shifted = engine.aggressor_noise("agg0", shift=shift)
+        assert len(calls) == 1
+        for out in (again, same_r, shifted):
+            for got, want in ((out.at_receiver, first.at_receiver),
+                              (out.at_root, first.at_root)):
+                moved = shift if out is shifted else 0.0
+                assert np.array_equal(got.times, want.times + moved)
+                assert np.array_equal(got.values, want.values)
+        engine.aggressor_noise("agg0", victim_r=2 * engine.models[VICTIM].rth)
+        assert len(calls) == 2
+
+
+@pytest.fixture(scope="module")
+def tree_net():
+    """A ~200-node extracted-style tree with two aggressors."""
+    return NetGenerator(seed=3).large_tree(nodes=200, n_aggressors=2)
+
+
+@contextlib.contextmanager
+def full_path():
+    """Engines built in the block simulate the full net, as they do
+    below the sparse threshold, instead of a port model."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(superposition, "stamps_sparse", lambda dim: False)
+        yield
+
+
+class TestPortModelSelection:
+    def test_none_below_sparse_threshold(self, single_engine):
+        assert single_engine.port_model is None
+
+    def test_built_at_sparse_threshold(self, tree_net, model_cache):
+        with sparse_threshold(1):
+            engine = SuperpositionEngine(tree_net, cache=model_cache)
+        ports = ["v_root", "a0_root", "a1_root", "v_rcv"]
+        assert engine.port_model.output_names == ports
+        assert engine.port_model.order == \
+            superposition.PORT_MOMENTS * len(ports)
+
+    def test_none_under_dense_reference(self, tree_net, model_cache):
+        with sparse_threshold(1):
+            SuperpositionEngine(tree_net, cache=model_cache)  # tables
+            with dense_reference():
+                engine = SuperpositionEngine(tree_net, cache=model_cache)
+        assert engine.port_model is None
+
+
+class TestPortModelAccuracy:
+    """The port model against the same net's full sparse path."""
+
+    def test_waveforms_match_full_path(self, tree_net, model_cache):
+        with sparse_threshold(1):
+            port = SuperpositionEngine(tree_net, cache=model_cache)
+            with full_path():
+                full = SuperpositionEngine(tree_net, cache=model_cache)
+            assert port.port_model is not None and full.port_model is None
+            rtr = 1.7 * port.models[VICTIM].rth
+            runs = [lambda e: e.victim_transition(),
+                    lambda e: e.aggressor_noise("agg0"),
+                    lambda e: e.aggressor_noise("agg1"),
+                    lambda e: e.aggressor_noise("agg0", victim_r=rtr)]
+            for run in runs:
+                got, want = run(port), run(full)
+                for g, w in ((got.at_receiver, want.at_receiver),
+                             (got.at_root, want.at_root)):
+                    peak = np.abs(w.values).max()
+                    assert peak > 0.05
+                    assert np.abs(g(w.times) - w.values).max() \
+                        <= 1e-6 * peak
+
+    def test_analysis_matches_full_path_and_oracle(self, tree_net,
+                                                   analyzer):
+        """``analyze`` answers as on the full path, and the differential
+        audit (full sparse transients, dense-reference Newton) finds no
+        mismatch."""
+        kwargs = {"alignment": "input-objective"}
+        with sparse_threshold(1):
+            port = analyzer.analyze(tree_net, **kwargs)
+            with full_path():
+                full = analyzer.analyze(tree_net, **kwargs)
+            audit = trust.run_audit([tree_net], {tree_net.name: port},
+                                    analyzer, rate=1.0,
+                                    analyze_kwargs=kwargs)
+        assert port.quality == full.quality == "exact"
+        assert abs(port.pulse_height - full.pulse_height) <= 2e-10
+        for field in ("extra_delay_input", "extra_delay_output",
+                      "peak_time"):
+            assert abs(getattr(port, field) - getattr(full, field)) \
+                <= 1e-15, field
+        assert port.rtr == pytest.approx(full.rtr, rel=1e-6)
+        assert audit["checked"] == 1
+        assert audit["mismatches"] == []
