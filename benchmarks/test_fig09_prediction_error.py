@@ -9,7 +9,7 @@ Grid conditions interpolate *between* the characterized corners, so this
 measures the table's generalization, not its fit.  Two predictors are
 reported: the paper's pure table lookup, and the shipped analyzer
 behaviour which additionally *measures* three earlier candidates with
-the receiver simulation it runs anyway (``alignment_probes``; see
+the receiver simulation it runs anyway (``ALIGNMENT_PROBES``; see
 DESIGN.md — this is what turns a rare cliff overshoot into a small
 early-side loss).
 """

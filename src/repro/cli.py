@@ -7,8 +7,8 @@ Entry points mirroring the production workflow:
 * ``repro analyze`` — run the delay-noise flow on a coupled net whose
   parasitics come from a SPICE-style netlist file.
 * ``repro screen`` — sweep a seeded synthetic population and print the
-  functional/delay-noise screening table; ``--trace``/``--metrics``
-  export the run's telemetry, ``--checkpoint``/``--resume`` make long
+  functional/delay-noise screening table; ``--trace`` exports the
+  run's span trace, ``--checkpoint``/``--resume`` make long
   screens crash-safe (``--force-resume`` overrides the stale-config
   guard), ``--retries``/``--max-failures`` tune the worker-crash and
   circuit-breaker policies, ``--timeout`` bounds each net (a ``SIGALRM``
@@ -63,14 +63,12 @@ from repro.obs import (
     ProgressTracker,
     RunManifest,
     Tracer,
-    atomic_write_json,
     configure_cli_logging,
     current_tracer,
     format_manifest,
     format_summary,
     get_logger,
     load_manifest,
-    metrics,
     read_trace,
     set_tracer,
     write_chrome_trace,
@@ -251,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scr.add_argument("--trace", metavar="FILE",
                        help="write a JSONL span trace of the run "
                             "(inspect with 'repro trace summarize')")
-    p_scr.add_argument("--metrics", metavar="FILE",
-                       help="write the run's metrics registry as JSON")
     p_scr.add_argument("--manifest", metavar="FILE",
                        help="write a schema-versioned run manifest "
                             "(config, git rev, host, stage timings, "
@@ -655,9 +651,6 @@ def _cmd_screen(args) -> int:
     if args.trace:
         count = current_tracer().export_jsonl(args.trace)
         out.info(f"# wrote {count} spans to {args.trace}")
-    if args.metrics:
-        atomic_write_json(args.metrics, metrics().snapshot())
-        out.info(f"# wrote metrics to {args.metrics}")
     if manifest:
         degraded_stages = sorted({d.stage for report in result.reports
                                   if report is not None

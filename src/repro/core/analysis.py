@@ -56,6 +56,27 @@ log = get_logger("core.analysis")
 #: Alignment-method names accepted by :meth:`DelayNoiseAnalyzer.analyze`.
 ALIGNMENT_METHODS = ("table", "input-objective", "exhaustive")
 
+#: Transient step of every simulation the analyzer runs.
+DT = 1.0 * PS
+
+#: Model/alignment passes (steps 3-5 of the flow): the linear driver
+#: model depends on the alignment and vice versa, and the paper finds
+#: one or two passes suffice.
+OUTER_ITERATIONS = 2
+
+#: Coarse points of the exhaustive alignment sweep.
+EXHAUSTIVE_STEPS = 25
+
+#: Table mode: after the table predicts the worst-case peak position,
+#: this many earlier candidates are *measured* with receiver
+#: simulations and the best one wins.  The final receiver simulation
+#: runs anyway (Figure 1(d)), so this costs only a few extra small
+#: non-linear runs, and it converts a rare catastrophic table-transfer
+#: miss — the predicted alignment landing past the delay cliff, where
+#: the measured delay collapses to zero — into a near-optimal pick.
+#: The paper's pure lookup is :meth:`AlignmentTable.predict_peak_time`.
+ALIGNMENT_PROBES = 3
+
 
 def _append_trust_degradations(net_name: str,
                                degradations: list[Degradation]) -> None:
@@ -152,23 +173,14 @@ class NoiseReport:
 class DelayNoiseAnalyzer:
     """Reusable analyzer holding model and alignment-table caches.
 
-    Parameters
-    ----------
-    dt:
-        Transient step for all simulations.
-    cache:
-        Shared Thevenin :class:`ModelCache` (created if omitted).
-    table_kwargs:
-        Extra arguments forwarded to :func:`build_alignment_table` when a
-        receiver cell is pre-characterized on demand.
+    Every simulation steps by :data:`DT`; ``cache`` is a shared
+    Thevenin :class:`ModelCache` (created if omitted).  A receiver cell
+    without a registered alignment table is pre-characterized on demand
+    with :func:`build_alignment_table`'s defaults.
     """
 
-    def __init__(self, *, dt: float = 1.0 * PS,
-                 cache: ModelCache | None = None,
-                 table_kwargs: dict | None = None):
-        self.dt = dt
+    def __init__(self, *, cache: ModelCache | None = None):
         self.cache = cache if cache is not None else ModelCache()
-        self.table_kwargs = dict(table_kwargs or {})
         self._tables: dict[tuple[str, bool], AlignmentTable] = {}
         #: Alignment-table cache traffic (mirrors ModelCache.hits/misses;
         #: the parallel engine's stats aggregate both).
@@ -187,8 +199,7 @@ class DelayNoiseAnalyzer:
             metrics().counter("cache.alignment.misses").inc()
             log.debug("alignment table miss: %s rising=%s", *key)
             self._tables[key] = build_alignment_table(
-                receiver_gate, victim_rising=victim_rising,
-                **self.table_kwargs)
+                receiver_gate, victim_rising=victim_rising)
         else:
             self.table_hits += 1
             metrics().counter("cache.alignment.hits").inc()
@@ -207,44 +218,22 @@ class DelayNoiseAnalyzer:
     # ------------------------------------------------------------------
     def analyze(self, net: CoupledNet, *, use_rtr: bool = True,
                 alignment: str = "table",
-                outer_iterations: int = 2,
-                exhaustive_steps: int = 25,
-                rtr_driver_load: str = "pi",
-                rtr_driver_engine: str = "transistor",
-                alignment_probes: int = 3,
                 tier_label: int = 2) -> NoiseReport:
         """Analyze one coupled net for worst-case delay noise.
 
         ``tier_label`` records which screening tier escalated this net
         into the full analysis (2 means a direct/exhaustive call); it
         only annotates the trace span and the ``analysis.tier.N``
-        counter — the flow itself is identical for every label.
-
-        ``alignment_probes`` (table mode only): after the table predicts
-        the worst-case peak position, that many nearby candidates are
-        *measured* with receiver simulations and the best one wins.  The
-        final receiver simulation runs anyway (Figure 1(d)), so this
-        costs only a few extra small non-linear runs, and it converts a
-        rare catastrophic table-transfer miss — the predicted alignment
-        landing past the delay cliff, where the measured delay collapses
-        to zero — into a near-optimal pick.  Set to 0 for the paper's
-        pure table lookup.
+        counter — the flow itself is identical for every label.  In
+        table mode the prediction is refined by
+        :data:`ALIGNMENT_PROBES` measured candidates.
         """
+        # Validated eagerly: once inside the flow, a failing stage
+        # degrades to its baseline instead of raising, and a typo'd
+        # parameter must stay a loud error.
         if alignment not in ALIGNMENT_METHODS:
             raise ValueError(
                 f"alignment must be one of {ALIGNMENT_METHODS}")
-        if outer_iterations < 1:
-            raise ValueError(
-                f"outer_iterations must be >= 1 (the flow needs at least "
-                f"one model/alignment pass), got {outer_iterations}")
-        # Validate the Rtr knobs eagerly: once inside the flow, an Rtr
-        # failure degrades to the Thevenin baseline instead of raising,
-        # and a typo'd parameter must stay a loud error.
-        if rtr_driver_load not in ("pi", "ceff"):
-            raise ValueError("rtr_driver_load must be 'pi' or 'ceff'")
-        if rtr_driver_engine not in ("transistor", "csm"):
-            raise ValueError(
-                "rtr_driver_engine must be 'transistor' or 'csm'")
         if not net.aggressors:
             raise ValueError(f"{net.name} has no aggressors to analyze")
         _fire_fault("analysis.net", net.name)
@@ -257,12 +246,7 @@ class DelayNoiseAnalyzer:
                   aggressors=len(net.aggressors),
                   alignment=alignment, tier=tier_label) as net_span:
             report = self._analyze_traced(
-                net, net_span, use_rtr=use_rtr, alignment=alignment,
-                outer_iterations=outer_iterations,
-                exhaustive_steps=exhaustive_steps,
-                rtr_driver_load=rtr_driver_load,
-                rtr_driver_engine=rtr_driver_engine,
-                alignment_probes=alignment_probes)
+                net, net_span, use_rtr=use_rtr, alignment=alignment)
         metrics().counter("analysis.nets").inc()
         metrics().counter(f"analysis.tier.{tier_label}").inc()
         metrics().histogram("analysis.outer_iterations").observe(
@@ -274,15 +258,12 @@ class DelayNoiseAnalyzer:
         return report
 
     def _analyze_traced(self, net: CoupledNet, net_span, *, use_rtr: bool,
-                        alignment: str, outer_iterations: int,
-                        exhaustive_steps: int, rtr_driver_load: str,
-                        rtr_driver_engine: str,
-                        alignment_probes: int) -> NoiseReport:
+                        alignment: str) -> NoiseReport:
         """The :meth:`analyze` flow, one child span per pipeline stage."""
         vdd = net.vdd
         rising = net.victim_rising
         with span("net.superposition"):
-            engine = SuperpositionEngine(net, cache=self.cache, dt=self.dt)
+            engine = SuperpositionEngine(net, cache=self.cache, dt=DT)
 
             noiseless_input = (engine.victim_transition().at_receiver
                                + net.victim_initial_level())
@@ -299,15 +280,13 @@ class DelayNoiseAnalyzer:
         degradations: list[Degradation] = []
         failed_stages: set[str] = set()
 
-        for iterations in range(1, outer_iterations + 1):
+        for iterations in range(1, OUTER_ITERATIONS + 1):
             if use_rtr and "rtr" not in failed_stages:
                 with span("net.holding_resistance",
                           iteration=iterations):
                     try:
                         _fire_fault("analysis.rtr", net.name)
-                        rtr_result = compute_rtr(
-                            engine, shifts, driver_load=rtr_driver_load,
-                            driver_engine=rtr_driver_engine)
+                        rtr_result = compute_rtr(engine, shifts)
                         r_hold = rtr_result.rtr
                     except NetTimeout:
                         raise  # the net's budget is spent: fail it
@@ -344,8 +323,8 @@ class DelayNoiseAnalyzer:
                       method=alignment):
                 new_target = self._aligned_target_or_fallback(
                     alignment, net, noiseless_input, shape, height,
-                    width, victim_slew, engine, exhaustive_steps,
-                    target, degradations, failed_stages)
+                    width, victim_slew, target, degradations,
+                    failed_stages)
 
             new_shifts = {
                 a.name: a.clamp_shift(aligned[a.name]
@@ -367,21 +346,21 @@ class DelayNoiseAnalyzer:
                      peak_time + 3.0 * max(width, 10 * PS) + 0.3 * NS)
         with span("net.receiver_eval", probes=0) as eval_span:
             clean_output = receiver_output_waveform(
-                net.receiver, noiseless_input, t_stop, self.dt)
+                net.receiver, noiseless_input, t_stop, DT)
             extra_in, extra_out, noisy_output = combined_extra_delays(
                 net.receiver, noiseless_input, noisy_input, vdd, rising,
-                t_stop, self.dt, clean_output=clean_output)
+                t_stop, DT, clean_output=clean_output)
 
-            if alignment == "table" and alignment_probes > 0:
+            if alignment == "table":
                 # Measure a few earlier candidates; the guard-banded
                 # table prediction only ever errs early or (rarely) off
                 # the cliff, so probing earlier is the useful direction.
                 probe_counter = metrics().counter("alignment.probes")
                 probe_wins = metrics().counter(
                     "alignment.probe_improvements")
-                eval_span.set(probes=alignment_probes)
+                eval_span.set(probes=ALIGNMENT_PROBES)
                 step = 0.15 * max(width, 20 * PS)
-                for k in range(1, alignment_probes + 1):
+                for k in range(1, ALIGNMENT_PROBES + 1):
                     delta = -k * step
                     probe_shifts = {
                         a.name: a.clamp_shift(shifts[a.name] + delta)
@@ -392,7 +371,7 @@ class DelayNoiseAnalyzer:
                         combined_extra_delays(
                             net.receiver, noiseless_input,
                             noiseless_input + probe_comp, vdd, rising,
-                            t_stop, self.dt, clean_output=clean_output)
+                            t_stop, DT, clean_output=clean_output)
                     probe_counter.inc()
                     if probe_out > extra_out:
                         probe_wins.inc()
@@ -423,7 +402,7 @@ class DelayNoiseAnalyzer:
             extra_in_th, extra_out_th, _ = combined_extra_delays(
                 net.receiver, noiseless_input,
                 noiseless_input + composite_th,
-                vdd, rising, t_stop, self.dt, clean_output=clean_output)
+                vdd, rising, t_stop, DT, clean_output=clean_output)
 
         _append_trust_degradations(net.name, degradations)
         net_span.set(iterations=iterations,
@@ -461,8 +440,7 @@ class DelayNoiseAnalyzer:
                                     noiseless_input: Waveform,
                                     shape: Waveform, height: float,
                                     width: float, victim_slew: float,
-                                    engine: SuperpositionEngine,
-                                    exhaustive_steps: int, target: float,
+                                    target: float,
                                     degradations: list[Degradation],
                                     failed_stages: set[str]) -> float:
         """Alignment target with graceful degradation.
@@ -480,7 +458,7 @@ class DelayNoiseAnalyzer:
                 _fire_fault("analysis.alignment", net.name)
                 return self._alignment_target(
                     method, net, noiseless_input, shape, height, width,
-                    victim_slew, engine, exhaustive_steps)
+                    victim_slew)
             except NetTimeout:
                 raise
             except Exception as exc:
@@ -509,9 +487,8 @@ class DelayNoiseAnalyzer:
     # ------------------------------------------------------------------
     def _alignment_target(self, method: str, net: CoupledNet,
                           noiseless_input: Waveform, shape: Waveform,
-                          height: float, width: float, victim_slew: float,
-                          engine: SuperpositionEngine,
-                          exhaustive_steps: int) -> float:
+                          height: float, width: float,
+                          victim_slew: float) -> float:
         """Worst-case composite-peak time under the chosen objective."""
         vdd = net.vdd
         rising = net.victim_rising
@@ -521,7 +498,7 @@ class DelayNoiseAnalyzer:
         if method == "exhaustive":
             sweep = exhaustive_worst_alignment(
                 net.receiver, noiseless_input, shape, vdd, rising,
-                steps=exhaustive_steps, refine=8, dt=self.dt)
+                steps=EXHAUSTIVE_STEPS, refine=8, dt=DT)
             return sweep.best_peak_time
         table = self.alignment_table_for(net.receiver.gate, rising)
         return table.predict_peak_time(noiseless_input, width, height,

@@ -42,6 +42,7 @@ so the top-level analysis recomputes it when the alignment moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.circuit.netlist import GROUND, Circuit
 from repro.core.superposition import VICTIM, SuperpositionEngine
@@ -151,9 +152,8 @@ def _csm_pair_response(engine: SuperpositionEngine,
 
 def _driver_pair_response(engine: SuperpositionEngine,
                           noise_current: Waveform,
-                          load: PiModel | float,
-                          driver=None,
-                          driver_engine: str = "transistor") -> Waveform:
+                          load: PiModel | float, driver,
+                          driver_engine: str) -> Waveform:
     """Steps 3-4: V'n = V2 - V1 from the non-linear driver pair.
 
     ``load`` is either a :class:`PiModel` or a lumped capacitance; the
@@ -166,7 +166,6 @@ def _driver_pair_response(engine: SuperpositionEngine,
     current-source model instead of the transistor co-simulation — a
     several-fold speedup at table-interpolation accuracy.
     """
-    driver = driver or engine.net.victim_driver
     if driver_engine == "csm":
         return _csm_pair_response(engine, noise_current, load, driver)
     gate = driver.gate
@@ -207,6 +206,68 @@ def _driver_pair_response(engine: SuperpositionEngine,
     return v2 - v1
 
 
+def _iterate(engine: SuperpositionEngine, key: str,
+             noise_at_root: Callable[[float], Waveform], *,
+             max_iterations: int, tolerance: float, driver_load: str,
+             driver_engine: str) -> RtrResult:
+    """Steps 1-6 for driver ``key``, held by the resistance Rtr.
+
+    ``noise_at_root(r)`` is the linear noise at the driver's root with
+    the driver held by ``r`` ohms (Step 1).  Each pass extracts the
+    injected current (Step 2), runs the driver pair (Steps 3-4), fits
+    Rtr = ∫V'n / ∫In (Step 5) and re-extracts with the new holder
+    (Step 6) until Rtr moves by less than ``tolerance``.
+    """
+    if driver_load not in ("pi", "ceff"):
+        raise ValueError("driver_load must be 'pi' or 'ceff'")
+    if driver_engine not in ("transistor", "csm"):
+        raise ValueError("driver_engine must be 'transistor' or 'csm'")
+    rth = engine.models[key].rth
+    driver = engine._drivers[key]
+    load, c_extract = _reduced_load(engine, key, engine._roots[key],
+                                    driver_load)
+
+    def extract_current(r_hold: float) -> tuple[Waveform, Waveform]:
+        vn = noise_at_root(r_hold)
+        return vn, vn * (1.0 / r_hold) + vn.derivative() * c_extract
+
+    r_current = rth
+    iterations = 0
+    converged = False
+    vn, noise_current = extract_current(r_current)
+    vn_prime = vn  # placeholder; overwritten in the loop
+
+    for iterations in range(1, max_iterations + 1):
+        vn_prime = _driver_pair_response(engine, noise_current, load,
+                                         driver, driver_engine)
+        denominator = noise_current.integral()
+        numerator = vn_prime.integral()
+        if abs(denominator) < 1e-18 or numerator * denominator <= 0.0:
+            # No meaningful injected charge, or inconsistent polarity
+            # (noise swamped by simulation artifacts): keep Rth.
+            return RtrResult(rtr=rth, rth=rth, iterations=iterations,
+                             converged=False, driver_load=driver_load,
+                             noise_current=noise_current,
+                             noise_linear=vn, noise_nonlinear=vn_prime)
+        rtr = numerator / denominator
+        rtr = min(max(rtr, _RTR_MIN), _RTR_MAX)
+
+        if abs(rtr - r_current) <= tolerance * rtr:
+            r_current = rtr
+            converged = True
+            break
+        r_current = rtr
+        # Step 6: redo the linear noise with the new holding resistance,
+        # which changes the injected current for the next pass.
+        vn, noise_current = extract_current(r_current)
+
+    return RtrResult(rtr=r_current, rth=rth, iterations=iterations,
+                     converged=converged, driver_load=driver_load,
+                     noise_current=noise_current,
+                     noise_linear=noise_at_root(r_current),
+                     noise_nonlinear=vn_prime)
+
+
 def compute_rtr(engine: SuperpositionEngine,
                 shifts: dict[str, float] | None = None, *,
                 max_iterations: int = 3,
@@ -240,56 +301,12 @@ def compute_rtr(engine: SuperpositionEngine,
     :class:`RtrResult`.  Degenerate noise (vanishing injected charge)
     falls back to ``rtr == rth``.
     """
-    if driver_load not in ("pi", "ceff"):
-        raise ValueError("driver_load must be 'pi' or 'ceff'")
-    if driver_engine not in ("transistor", "csm"):
-        raise ValueError("driver_engine must be 'transistor' or 'csm'")
     shifts = shifts or {}
-    rth = engine.models[VICTIM].rth
-
-    load, c_extract = _reduced_load(engine, VICTIM,
-                                    engine.net.victim_root, driver_load)
-
-    def extract_current(r_hold: float) -> tuple[Waveform, Waveform]:
-        vn = engine.total_noise(shifts, victim_r=r_hold).at_root
-        return vn, vn * (1.0 / r_hold) + vn.derivative() * c_extract
-
-    r_current = rth
-    iterations = 0
-    converged = False
-    vn, noise_current = extract_current(r_current)
-    vn_prime = vn  # placeholder; overwritten in the loop
-
-    for iterations in range(1, max_iterations + 1):
-        vn_prime = _driver_pair_response(engine, noise_current, load,
-                                         driver_engine=driver_engine)
-
-        denominator = noise_current.integral()
-        numerator = vn_prime.integral()
-        if abs(denominator) < 1e-18 or numerator * denominator <= 0.0:
-            # No meaningful injected charge, or inconsistent polarity
-            # (noise swamped by simulation artifacts): keep Rth.
-            return RtrResult(rtr=rth, rth=rth, iterations=iterations,
-                             converged=False, driver_load=driver_load,
-                             noise_current=noise_current,
-                             noise_linear=vn, noise_nonlinear=vn_prime)
-        rtr = numerator / denominator
-        rtr = min(max(rtr, _RTR_MIN), _RTR_MAX)
-
-        if abs(rtr - r_current) <= tolerance * rtr:
-            r_current = rtr
-            converged = True
-            break
-        r_current = rtr
-        # Step 6: redo the linear noise with the new holding resistance,
-        # which changes the injected current for the next pass.
-        vn, noise_current = extract_current(r_current)
-
-    vn_final = engine.total_noise(shifts, victim_r=r_current).at_root
-    return RtrResult(rtr=r_current, rth=rth, iterations=iterations,
-                     converged=converged, driver_load=driver_load,
-                     noise_current=noise_current,
-                     noise_linear=vn_final, noise_nonlinear=vn_prime)
+    return _iterate(
+        engine, VICTIM,
+        lambda r: engine.total_noise(shifts, victim_r=r).at_root,
+        max_iterations=max_iterations, tolerance=tolerance,
+        driver_load=driver_load, driver_engine=driver_engine)
 
 
 def compute_holder_rtr(engine: SuperpositionEngine, held: str, *,
@@ -313,50 +330,11 @@ def compute_holder_rtr(engine: SuperpositionEngine, held: str, *,
     :func:`compute_rtr`: this variant uses exactly one switching driver,
     while the standard victim computation superposes all aggressors.
     """
-    if driver_load not in ("pi", "ceff"):
-        raise ValueError("driver_load must be 'pi' or 'ceff'")
     if held == switching:
         raise ValueError("held and switching must differ")
-
-    rth = engine.models[held].rth
-    root = engine._roots[held]
-    driver = engine._drivers[held]
-    load, c_extract = _reduced_load(engine, held, root, driver_load)
-
-    def extract_current(r_hold: float) -> tuple[Waveform, Waveform]:
-        vn = engine.noise_on_holder(held, switching,
-                                    shift=switching_shift, held_r=r_hold)
-        return vn, vn * (1.0 / r_hold) + vn.derivative() * c_extract
-
-    r_current = rth
-    iterations = 0
-    converged = False
-    vn, noise_current = extract_current(r_current)
-    vn_prime = vn
-
-    for iterations in range(1, max_iterations + 1):
-        vn_prime = _driver_pair_response(engine, noise_current, load,
-                                         driver=driver)
-        denominator = noise_current.integral()
-        numerator = vn_prime.integral()
-        if abs(denominator) < 1e-18 or numerator * denominator <= 0.0:
-            return RtrResult(rtr=rth, rth=rth, iterations=iterations,
-                             converged=False, driver_load=driver_load,
-                             noise_current=noise_current,
-                             noise_linear=vn, noise_nonlinear=vn_prime)
-        rtr = numerator / denominator
-        rtr = min(max(rtr, _RTR_MIN), _RTR_MAX)
-        if abs(rtr - r_current) <= tolerance * rtr:
-            r_current = rtr
-            converged = True
-            break
-        r_current = rtr
-        vn, noise_current = extract_current(r_current)
-
-    vn_final = engine.noise_on_holder(held, switching,
-                                      shift=switching_shift,
-                                      held_r=r_current)
-    return RtrResult(rtr=r_current, rth=rth, iterations=iterations,
-                     converged=converged, driver_load=driver_load,
-                     noise_current=noise_current,
-                     noise_linear=vn_final, noise_nonlinear=vn_prime)
+    return _iterate(
+        engine, held,
+        lambda r: engine.noise_on_holder(held, switching,
+                                         shift=switching_shift, held_r=r),
+        max_iterations=max_iterations, tolerance=tolerance,
+        driver_load=driver_load, driver_engine="transistor")

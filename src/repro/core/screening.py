@@ -42,7 +42,7 @@ the pessimistic side: aggressor drivers are ideal (zero-impedance)
 voltage ramps at their input slews, quiet aggressors are near-floating
 (anchored only for DC solvability), the victim holding resistance is
 the crude saturation-current estimate scaled up by
-``victim_r_scale`` (bounding the transient holding resistance Rtr from
+``VICTIM_R_SCALE`` (bounding the transient holding resistance Rtr from
 above — noise grows monotonically with the holding resistance), and the
 per-aggressor peak magnitudes are *summed*, which upper-bounds the
 composite peak over every possible alignment.  The residual risk —
@@ -70,8 +70,8 @@ from repro.units import NS
 
 __all__ = [
     "DEFAULT_GUARD_BAND",
-    "DEFAULT_VICTIM_R_SCALE",
     "TIER_POLICIES",
+    "VICTIM_R_SCALE",
     "ScreeningConfig",
     "ScreeningResult",
     "ScreeningStats",
@@ -96,7 +96,7 @@ DEFAULT_GUARD_BAND = 1.25
 #: estimate.  The transient holding resistance Rtr exceeds the DC
 #: estimate (the paper's Section 2 point); 4x bounds every Rtr/Rth
 #: ratio observed on the seeded populations from above.
-DEFAULT_VICTIM_R_SCALE = 4.0
+VICTIM_R_SCALE = 4.0
 
 #: Accepted ``ScreeningConfig.policy`` values: ``auto`` runs tier 0,
 #: then tier 1, then tier 2; ``bound-only`` skips the MOR estimate
@@ -141,8 +141,6 @@ class ScreeningConfig:
     noise_threshold: float
     policy: str = "auto"
     guard_band: float = DEFAULT_GUARD_BAND
-    victim_r_scale: float = DEFAULT_VICTIM_R_SCALE
-    order: int = TIER1_ORDER
 
     def __post_init__(self):
         if self.noise_threshold <= 0.0:
@@ -157,10 +155,6 @@ class ScreeningConfig:
             raise ValueError(
                 f"guard_band must be >= 1.0 (it is a safety margin), "
                 f"got {self.guard_band}")
-        if self.victim_r_scale < 1.0:
-            raise ValueError(
-                f"victim_r_scale must be >= 1.0, got "
-                f"{self.victim_r_scale}")
 
 
 @dataclass(frozen=True)
@@ -291,16 +285,17 @@ def tier0_bound(net: CoupledNet) -> float:
 # ----------------------------------------------------------------------
 # Tier 1: reduced-order linear estimate
 # ----------------------------------------------------------------------
-def _victim_holding_resistance(net: CoupledNet, scale: float) -> float:
+def _victim_holding_resistance(net: CoupledNet) -> float:
     """Upper bound on the victim's holding resistance during the noise.
 
     The crude saturation-current estimate of the *stronger* direction
     would under-hold; the weaker of pull-up/pull-down, scaled by
-    ``scale``, bounds the transient holding resistance Rtr from above.
-    More holding resistance means more noise, so this errs high.
+    :data:`VICTIM_R_SCALE`, bounds the transient holding resistance Rtr
+    from above.  More holding resistance means more noise, so this errs
+    high.
     """
     gate = net.victim_driver.gate
-    return scale * max(gate.drive_resistance_estimate(True),
+    return VICTIM_R_SCALE * max(gate.drive_resistance_estimate(True),
                        gate.drive_resistance_estimate(False))
 
 
@@ -322,7 +317,7 @@ def tier1_estimate(net: CoupledNet, *,
     if not net.aggressors:
         return 0.0
     vdd = net.vdd
-    r_hold = _victim_holding_resistance(net, config.victim_r_scale)
+    r_hold = _victim_holding_resistance(net)
 
     base = net.interconnect.copy(f"{net.name}_tier1")
     base.add_capacitor("__rcv_cin", net.victim_receiver_node, GROUND,
@@ -366,7 +361,7 @@ def tier1_estimate(net: CoupledNet, *,
         circuit.add_isource("__agg", GROUND, agg.root, 0.0)
         mna = build_mna(circuit)
         model = ReducedModel.from_mna(mna, [net.victim_receiver_node],
-                                      min(config.order, mna.dim))
+                                      min(TIER1_ORDER, mna.dim))
         t_stop = slew + 6.0 * max(tau, 0.05 * NS)
         times = np.linspace(0.0, t_stop, _TIER1_STEPS + 1)
         inputs = (np.clip(times / slew, 0.0, 1.0)[None, :] * vdd

@@ -126,7 +126,7 @@ class SuperpositionEngine:
     """
 
     def __init__(self, net: CoupledNet, *, cache: ModelCache | None = None,
-                 dt: float = 1.0 * PS, t_stop: float | None = None):
+                 dt: float = 1.0 * PS):
         self.net = net
         self.dt = dt
         # `cache or ...` would discard an *empty* shared cache
@@ -147,7 +147,7 @@ class SuperpositionEngine:
         self.models: dict[str, TheveninModel] = {}
         self._characterize_all()
 
-        self.t_stop = t_stop if t_stop is not None else self._horizon()
+        self.t_stop = self._horizon()
         # (switching driver, held resistances) -> unshifted waveforms at
         # the receiver and every driver root.
         self._runs: dict[tuple, dict[str, Waveform]] = {}

@@ -398,18 +398,17 @@ def _decode_checkpoint_record(record: dict
     return None, NetFailure.from_dict(record["data"])
 
 
-def _run_identity(nets, analyzer: DelayNoiseAnalyzer,
-                  analyze_kwargs: dict,
+def _run_identity(nets, analyze_kwargs: dict,
                   tier_labels: dict[str, int] | None = None) -> str:
     """Digest of everything that shapes this run's numerical results.
 
     Stamped into the checkpoint header so ``resume`` can refuse a
     checkpoint written under a different configuration (net population,
-    driver/receiver specs, analyzer dt, characterization or analysis
-    knobs) — mixing results across configurations would silently break
-    the "resumed == uninterrupted" bit-identity guarantee.  Gate
-    internals are represented by cell name: a changed cell library is
-    out of scope (and out of reach) for a cheap digest.
+    driver/receiver specs, analysis knobs) — mixing results across
+    configurations would silently break the "resumed == uninterrupted"
+    bit-identity guarantee.  Gate internals are represented by cell
+    name: a changed cell library is out of scope (and out of reach) for
+    a cheap digest.
     """
     def driver(spec):
         return {"gate": spec.gate.name, "slew": spec.input_slew,
@@ -431,9 +430,6 @@ def _run_identity(nets, analyzer: DelayNoiseAnalyzer,
                             "driver": driver(a.driver)}
                            for a in net.aggressors],
         } for net in nets],
-        "dt": analyzer.dt,
-        "table_kwargs": {k: repr(v) for k, v in
-                         sorted(analyzer.table_kwargs.items())},
         "analyze_kwargs": {k: repr(v) for k, v in
                            sorted(analyze_kwargs.items())},
     }
@@ -598,8 +594,7 @@ def analyze_nets(nets, *, jobs: int = 1,
     writer: CheckpointWriter | None = None
     todo = list(range(len(nets)))
     if checkpoint is not None:
-        run_hash = _run_identity(nets, analyzer, analyze_kwargs,
-                                 tier_labels)
+        run_hash = _run_identity(nets, analyze_kwargs, tier_labels)
         if resume:
             header = load_checkpoint_header(checkpoint)
             stored_hash = None if header is None else \

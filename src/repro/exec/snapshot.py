@@ -28,7 +28,6 @@ from repro.core.analysis import DelayNoiseAnalyzer
 from repro.core.net import CoupledNet
 from repro.obs import get_logger, span
 from repro.storage import characterization_payload, install_characterization
-from repro.units import PS
 
 __all__ = ["warm_analyzer", "build_snapshot", "restore_analyzer"]
 
@@ -57,16 +56,12 @@ def warm_analyzer(analyzer: DelayNoiseAnalyzer,
 def build_snapshot(analyzer: DelayNoiseAnalyzer) -> dict[str, Any]:
     """Capture an analyzer's characterization state as a plain dict.
 
-    The payload is the :mod:`repro.storage` chardb payload plus the
-    analyzer's construction parameters, so a worker reconstructs an
-    equivalent analyzer without touching the parent's objects.
+    The payload is the :mod:`repro.storage` chardb payload, so a worker
+    reconstructs an equivalent analyzer without touching the parent's
+    objects.
     """
     with span("exec.snapshot.build"):
         payload = characterization_payload(analyzer)
-        payload["analyzer"] = {
-            "dt": analyzer.dt,
-            "table_kwargs": dict(analyzer.table_kwargs),
-        }
     log.debug("snapshot: %d thevenin tables, %d alignment tables",
               len(analyzer.cache), len(analyzer.alignment_tables()))
     return payload
@@ -75,9 +70,6 @@ def build_snapshot(analyzer: DelayNoiseAnalyzer) -> dict[str, Any]:
 def restore_analyzer(snapshot: dict[str, Any]) -> DelayNoiseAnalyzer:
     """Rehydrate a fully warm analyzer from :func:`build_snapshot`."""
     with span("exec.snapshot.restore"):
-        params = snapshot.get("analyzer", {})
-        analyzer = DelayNoiseAnalyzer(
-            dt=params.get("dt", 1.0 * PS),
-            table_kwargs=params.get("table_kwargs"))
+        analyzer = DelayNoiseAnalyzer()
         install_characterization(snapshot, analyzer)
     return analyzer

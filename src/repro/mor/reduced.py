@@ -7,8 +7,8 @@ from scipy import sparse as _sp
 
 from repro.circuit.mna import MnaSystem
 from repro.mor.prima import prima_reduce, transfer_moments
-from repro.sim.factor import factorize, is_sparse_matrix
-from repro.sim.linear import step_audit
+from repro.sim.factor import is_sparse_matrix
+from repro.sim.linear import trapezoidal
 from repro.waveform import Waveform
 
 __all__ = ["ReducedModel"]
@@ -88,12 +88,11 @@ class ReducedModel:
                  inputs: np.ndarray) -> dict[str, Waveform]:
         """Trapezoidal transient of the reduced system.
 
-        The step matrix is constant on the uniform grid, so its factors
-        are applied once to the step matrix and to every averaged input
-        column: each step is then one ``q x q`` mat-vec.  With the trust
-        layer on, sampled steps are verified against the raw trapezoidal
-        system exactly as :func:`repro.sim.linear.simulate_linear`
-        verifies its own (same stride, same tolerance).
+        Runs :func:`repro.sim.linear.trapezoidal`, the integrator of
+        :func:`~repro.sim.linear.simulate_linear`: the step matrix is
+        factored once, condition-monitored and pre-applied, so each
+        step is one ``q x q`` mat-vec, and with the trust layer on
+        sampled steps are audited as ``"reduced step"``.
 
         Parameters
         ----------
@@ -112,29 +111,8 @@ class ReducedModel:
         if inputs.shape != (self.Br.shape[1], times.size):
             raise ValueError(
                 f"inputs must have shape ({self.Br.shape[1]}, {times.size})")
-        h = times[1] - times[0]
-        A = self.Cr / h + self.Gr / 2.0
-        Bm = self.Cr / h - self.Gr / 2.0
-        fact = factorize(A)
-
-        rhs = self.Br @ inputs
-        try:
-            z = np.linalg.solve(self.Gr, rhs[:, 0])
-        except np.linalg.LinAlgError:
-            z, *_ = np.linalg.lstsq(self.Gr, rhs[:, 0], rcond=None)
-        raw_avg = 0.5 * (rhs[:, :-1] + rhs[:, 1:])
-        step_matrix = fact.solve(Bm)
-        rhs_avg = fact.solve(raw_avg)
-        audit = step_audit(A, times.size - 1)
-        states = np.empty((self.order, times.size))
-        states[:, 0] = z
-        for k in range(times.size - 1):
-            z_prev = z
-            z = step_matrix @ z + rhs_avg[:, k]
-            if audit is not None and audit.due(k):
-                z = audit.verify(z, Bm @ z_prev + raw_avg[:, k],
-                                 f"t={times[k + 1]:.3e}s reduced step")
-            states[:, k + 1] = z
+        states = trapezoidal(self.Gr, self.Cr, self.Br @ inputs, times,
+                             label="reduced")
         outputs = self.Lr.T @ states
         return {
             name: Waveform(times, outputs[i])

@@ -117,7 +117,7 @@ class _BlockAudit:
 
     The batched twin of :class:`repro.sim.nonlinear._VerifiedSolve`:
     non-finite rows are caught every step, and every
-    ``check_interval``-th step the full backward-Euler residual is
+    ``repro.trust.CHECK_INTERVAL``-th step the full backward-Euler residual is
     recomputed per candidate against the *raw* (un-folded) ``A`` plus
     full device currents.  A violating candidate is not repaired in
     place — it is demoted to the existing scalar fallback list, where
@@ -125,16 +125,14 @@ class _BlockAudit:
     escalates) it, so both paths share one ladder.
     """
 
-    __slots__ = ("kernel", "anorm", "tol", "floor", "interval", "count")
+    __slots__ = ("kernel", "anorm", "tol", "interval", "count")
 
     def __init__(self, kernel: _BatchedKernel):
-        cfg = _trust.config()
         self.kernel = kernel
         self.anorm = _trust.matrix_norm1(kernel.A)
         self.tol = _trust.residual_tolerance(kernel.A.shape[0],
-                                             cfg.newton_rtol)
-        self.floor = cfg.voltage_floor
-        self.interval = max(1, cfg.check_interval)
+                                             _trust.NEWTON_RTOL)
+        self.interval = _trust.CHECK_INTERVAL
         self.count = 0
 
     def suspects(self, X: np.ndarray, X_prev: np.ndarray,
@@ -165,7 +163,8 @@ class _BlockAudit:
         if batch.n:
             i, _ = batch.evaluate_many(X)
             batch.sub_currents_many(R, i)
-        den = (self.anorm * (np.abs(X).max(axis=1) + self.floor)
+        den = (self.anorm
+               * (np.abs(X).max(axis=1) + _trust.VOLTAGE_FLOOR)
                + np.abs(B).max(axis=1))
         with np.errstate(invalid="ignore"):
             rel = np.abs(R).max(axis=1) / den

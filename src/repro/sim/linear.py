@@ -15,10 +15,10 @@ only through coupling capacitors), a least-squares solution is used, which
 picks the minimum-norm consistent initial state.
 
 When the trust layer (:mod:`repro.trust`) is enabled, sampled steps —
-every ``4 * check_interval``-th plus the final one — are post-verified
-with the relative residual of the raw trapezoidal system; a violating
-step is re-solved fresh against a dense rebuild of the left-hand
-matrix and the hop recorded as a trust event.  Direct solves are
+every ``4 * repro.trust.CHECK_INTERVAL``-th plus the final one — are
+post-verified with the relative residual of the raw trapezoidal system;
+a violating step is re-solved fresh against a dense rebuild of the
+left-hand matrix and the hop recorded as a trust event.  Direct solves are
 backward stable, so the audit tolerance sits many orders above a
 legitimate step and any violation means the factorization itself went
 bad.
@@ -35,7 +35,7 @@ from repro.resilience.faults import fire as _fire_fault
 from repro.sim.factor import factorize, is_sparse_matrix
 from repro.sim.result import SimulationResult, time_grid
 
-__all__ = ["simulate_linear", "step_audit"]
+__all__ = ["simulate_linear", "trapezoidal"]
 
 #: Linear-step audits sample 4x sparser than the Newton wrapper: the
 #: check costs up to two extra mat-vecs against a one-mat-vec step, so
@@ -55,11 +55,10 @@ class _StepAudit:
     def __init__(self, A, steps: int):
         self.A = A
         self.anorm = _trust.matrix_norm1(A)
-        self.tol = _trust.residual_tolerance(
-            A.shape[0], _trust.config().linear_rtol)
+        self.tol = _trust.residual_tolerance(A.shape[0],
+                                             _trust.LINEAR_RTOL)
         self.dense_A = None
-        self.stride = (_LINEAR_CHECK_STRIDE
-                       * max(1, _trust.config().check_interval))
+        self.stride = _LINEAR_CHECK_STRIDE * _trust.CHECK_INTERVAL
         self.last = steps - 1
 
     def due(self, k: int) -> bool:
@@ -105,17 +104,6 @@ class _StepAudit:
             f"({detail}) and the dense re-solve did not repair it")
 
 
-def step_audit(A, steps: int) -> _StepAudit | None:
-    """The sampled residual audit of a ``steps``-step trapezoidal loop
-    over the left-hand matrix ``A``, or None with the trust layer off.
-
-    Shared by :func:`simulate_linear` and the reduced-order transient
-    (:meth:`repro.mor.ReducedModel.simulate`), so both verify the same
-    share of their steps against the same tolerance.
-    """
-    return _StepAudit(A, steps) if _trust.trust_enabled() else None
-
-
 def _dc_solve(G: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
     if is_sparse_matrix(G):
         try:
@@ -134,6 +122,64 @@ def _dc_solve(G: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         x0, *_ = np.linalg.lstsq(G, rhs0, rcond=None)
         return x0
+
+
+def trapezoidal(G, C, rhs: np.ndarray, times: np.ndarray,
+                x0: np.ndarray | None = None, *,
+                label: str = "linear") -> np.ndarray:
+    """States of ``C x' + G x = rhs(t)`` on the uniform grid ``times``.
+
+    ``rhs`` holds one column per time point; ``x0`` defaults to the DC
+    solution of ``G x = rhs[:, 0]``.  The left-hand matrix is factored
+    once and condition-monitored; with the trust layer on, sampled
+    steps are audited under the context ``"t=...s <label> step"``.
+    Shared by :func:`simulate_linear` and the reduced-order transient
+    (:meth:`repro.mor.ReducedModel.simulate`).
+    """
+    h = times[1] - times[0]
+    if x0 is None:
+        x0 = _dc_solve(G, rhs[:, 0])
+    A = C / h + G / 2.0
+    Bmat = C / h - G / 2.0
+    # The left-hand matrix is constant on the uniform grid: factor it
+    # once (repro.sim.factor, shared with the non-linear kernel).
+    fact = factorize(A)
+    _trust.observe_factorization(fact)
+    raw_avg = 0.5 * (rhs[:, :-1] + rhs[:, 1:])
+    audit = (_StepAudit(A, times.size - 1) if _trust.trust_enabled()
+             else None)
+
+    states = np.empty((A.shape[0], times.size))
+    states[:, 0] = x0
+    x = x0
+    if is_sparse_matrix(A):
+        # Sparse path: a dense step matrix A⁻¹B would cost O(dim²) per
+        # step and O(dim) triangular solves to form — exactly the fill
+        # sparsity avoids.  Keep the loop as one sparse mat-vec plus one
+        # pair of SuperLU triangular solves per step; the averaged
+        # source columns still amortize through one multi-RHS solve.
+        rhs_avg = fact.solve(np.ascontiguousarray(raw_avg))
+        for k in range(times.size - 1):
+            bx = Bmat @ x
+            x = fact.solve(bx) + rhs_avg[:, k]
+            if audit is not None and audit.due(k):
+                x = audit.verify(x, bx + raw_avg[:, k],
+                                 f"t={times[k + 1]:.3e}s {label} step")
+            states[:, k + 1] = x
+        return states
+    # Dense path: pre-apply the factors to the step matrix and every
+    # averaged source column, turning the time loop into one mat-vec
+    # plus an add per step.
+    step_matrix = fact.solve(Bmat)
+    rhs_avg = fact.solve(raw_avg)
+    for k in range(times.size - 1):
+        x_prev = x
+        x = step_matrix @ x + rhs_avg[:, k]
+        if audit is not None and audit.due(k):
+            x = audit.verify(x, Bmat @ x_prev + raw_avg[:, k],
+                             f"t={times[k + 1]:.3e}s {label} step")
+        states[:, k + 1] = x
+    return states
 
 
 def simulate_linear(circuit_or_mna: Circuit | MnaSystem, t_stop: float,
@@ -158,54 +204,9 @@ def simulate_linear(circuit_or_mna: Circuit | MnaSystem, t_stop: float,
         mna = build_mna(circuit_or_mna)
 
     times = time_grid(t_stop, dt, t_start)
-    h = times[1] - times[0]
-    rhs = mna.rhs_matrix(times)
-
-    if x0 is None:
-        x0 = _dc_solve(mna.G, rhs[:, 0])
-    else:
+    if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (mna.dim,):
             raise ValueError(f"x0 must have shape ({mna.dim},)")
-
-    A = mna.C / h + mna.G / 2.0
-    Bmat = mna.C / h - mna.G / 2.0
-    # The left-hand matrix is constant on the uniform grid: factor it
-    # once (repro.sim.factor, shared with the non-linear kernel).
-    fact = factorize(A)
-    _trust.observe_factorization(fact)
-    raw_avg = 0.5 * (rhs[:, :-1] + rhs[:, 1:])
-    audit = step_audit(A, times.size - 1)
-
-    states = np.empty((mna.dim, times.size))
-    states[:, 0] = x0
-    x = x0
-    if mna.is_sparse:
-        # Sparse path: a dense step matrix A⁻¹B would cost O(dim²) per
-        # step and O(dim) triangular solves to form — exactly the fill
-        # sparsity avoids.  Keep the loop as one sparse mat-vec plus one
-        # pair of SuperLU triangular solves per step; the averaged
-        # source columns still amortize through one multi-RHS solve.
-        rhs_avg = fact.solve(np.ascontiguousarray(raw_avg))
-        for k in range(times.size - 1):
-            bx = Bmat @ x
-            x = fact.solve(bx) + rhs_avg[:, k]
-            if audit is not None and audit.due(k):
-                x = audit.verify(x, bx + raw_avg[:, k],
-                                 f"t={times[k + 1]:.3e}s linear step")
-            states[:, k + 1] = x
-        return SimulationResult(mna, times, states)
-    # Dense path: pre-apply the factors to the step matrix and every
-    # averaged source column, turning the time loop into one mat-vec
-    # plus an add per step.
-    step_matrix = fact.solve(Bmat)
-    rhs_avg = fact.solve(raw_avg)
-    for k in range(times.size - 1):
-        x_prev = x
-        x = step_matrix @ x + rhs_avg[:, k]
-        if audit is not None and audit.due(k):
-            x = audit.verify(x, Bmat @ x_prev + raw_avg[:, k],
-                             f"t={times[k + 1]:.3e}s linear step")
-        states[:, k + 1] = x
-
+    states = trapezoidal(mna.G, mna.C, mna.rhs_matrix(times), times, x0)
     return SimulationResult(mna, times, states)

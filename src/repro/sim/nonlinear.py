@@ -26,7 +26,7 @@ exploits both facts:
 * one routing rule (:func:`_woodbury_base`, shared with the batched
   kernel) admits ``A`` as a factored base when ``2k <= dim``, the
   factorization succeeds and its reciprocal condition estimate reaches
-  the trust layer's ``rcond_min``.  Each iteration is then solved
+  the trust layer's ``RCOND_MIN``.  Each iteration is then solved
   through the Sherman–Morrison–Woodbury identity (``ΔJ = E_R M``):
 
       J⁻¹ = A⁻¹ − A⁻¹ E_R (I_k + M A⁻¹ E_R)⁻¹ M A⁻¹,
@@ -452,7 +452,7 @@ def _woodbury_base(A, batch: _DeviceBatch):
 
     Yes when ``2k <= dim``, the factorization succeeds and its
     reciprocal condition estimate is at least the trust layer's
-    ``rcond_min``: a factor that only rounding kept from being singular
+    ``RCOND_MIN``: a factor that only rounding kept from being singular
     (``G`` with nodes held only by devices at DC) makes ``W``
     meaningless, and Woodbury then accepts a wrong state on its step
     size.  The test runs with the trust layer on or off, and only an
@@ -469,7 +469,7 @@ def _woodbury_base(A, batch: _DeviceBatch):
     except np.linalg.LinAlgError:
         return None
     rcond = fact.rcond_estimate()
-    if rcond is not None and rcond < _trust.config().rcond_min:
+    if rcond is not None and rcond < _trust.RCOND_MIN:
         return None
     _trust.observe_factorization(fact)
     W = None
@@ -792,11 +792,11 @@ class _VerifiedSolve:
     """Trust wrapper around a fast :class:`_NewtonKernel`.
 
     Post-verifies accepted states: every
-    ``TrustConfig.check_interval``-th call runs a finiteness tripwire
+    ``repro.trust.CHECK_INTERVAL``-th call runs a finiteness tripwire
     plus a full relative-residual audit (the residual costs one extra
     device evaluation and mat-vec, so it is sampled — and the clean
     path between samples is pure bookkeeping — to keep a clean run at
-    one audit per ``check_interval`` solves).  When a fault plan is
+    one audit per ``CHECK_INTERVAL`` solves).  When a fault plan is
     installed the sampling stride is bypassed so injected corruption
     is always exercised.  On a violation the escalation ladder runs:
 
@@ -820,13 +820,12 @@ class _VerifiedSolve:
                  "count", "_dense_A")
 
     def __init__(self, kernel: _NewtonKernel, devices: list[tuple]):
-        cfg = _trust.config()
         self.kernel = kernel
         self.devices = devices
         self.anorm = _trust.matrix_norm1(kernel.A)
         self.tol = _trust.residual_tolerance(kernel.A.shape[0],
-                                             cfg.newton_rtol)
-        self.interval = max(1, cfg.check_interval)
+                                             _trust.NEWTON_RTOL)
+        self.interval = _trust.CHECK_INTERVAL
         self.count = 0
         self._dense_A = None
 

@@ -14,17 +14,18 @@ in:
   cheap relative residual ``||Ax - b|| / (||A||*||x|| + ||b||)``
   against a per-dim tolerance (:func:`residual_tolerance`).  The full
   check (finiteness tripwire plus residual) is sampled every
-  ``check_interval`` accepted solves to keep the clean-path overhead
-  small; installing a fault plan bypasses the stride so injected
-  corruption always faces the audit.
+  :data:`CHECK_INTERVAL` accepted solves to keep the clean-path
+  overhead small; installing a fault plan bypasses the stride so
+  injected corruption always faces the audit.
 * **Condition monitoring** — each factorization that serves a
-  transient's solves (the linear step and sparse DC matrices, the
-  sparse exact-Newton Jacobian, an accepted Woodbury base) reports a
+  transient's solves (the trapezoidal step matrices of full and
+  reduced-order linear transients, sparse DC matrices, the sparse
+  exact-Newton Jacobian, an accepted Woodbury base) reports a
   reciprocal condition estimate through :func:`observe_factorization`;
-  estimates below ``rcond_min`` raise the ``trust.condition_warnings``
-  counter and a log warning.  The same threshold routes a Newton kernel off a
-  base factor to exact Newton (``repro.sim.nonlinear._woodbury_base``),
-  with the layer on or off.
+  estimates below :data:`RCOND_MIN` raise the
+  ``trust.condition_warnings`` counter and a log warning.  The same
+  threshold routes a Newton kernel off a base factor to exact Newton
+  (``repro.sim.nonlinear._woodbury_base``), with the layer on or off.
 * **Escalation ladder** — on a residual violation the solver walks
   exact Newton -> the dense reference solve (rebuilt dense from sparse
   when needed; implemented in ``repro.sim.nonlinear``), recording each hop
@@ -48,17 +49,17 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.obs import get_logger, metrics
 
 __all__ = [
-    "TrustConfig", "TrustViolation", "config", "configure",
-    "trust_enabled", "trust_mode", "matrix_norm1", "relative_residual",
-    "residual_tolerance", "observe_factorization", "record_event",
-    "drain_events", "run_audit", "AUDIT_FIELDS", "AUDIT_TOLERANCE",
+    "TrustViolation", "trust_enabled", "trust_mode", "matrix_norm1",
+    "relative_residual", "residual_tolerance", "observe_factorization",
+    "record_event", "drain_events", "run_audit", "AUDIT_FIELDS",
+    "AUDIT_TOLERANCE", "LINEAR_RTOL", "NEWTON_RTOL", "RCOND_MIN",
+    "CHECK_INTERVAL", "VOLTAGE_FLOOR",
 ]
 
 log = get_logger("trust")
@@ -70,40 +71,34 @@ _FACTORIZATIONS = metrics().counter("trust.factorizations")
 _UNRECOVERED = metrics().counter("trust.unrecovered")
 
 
-@dataclass(frozen=True)
-class TrustConfig:
-    """Knobs for the verification layer.
+#: Base relative-residual budget for direct linear solves: they are
+#: backward stable, so a legitimate residual is ~n*eps.
+LINEAR_RTOL = 1e-9
 
-    ``linear_rtol`` gates direct linear solves (backward-stable, so the
-    legitimate residual is ~n*eps); ``newton_rtol`` gates accepted
-    Newton states, whose acceptance test is a step-norm tolerance — the
-    nonlinear residual of a legitimately converged state is bounded by
-    ``||J|| * vtol``, so the gate sits ~100x above that and ~100x below
-    a grossly corrupted state.  Both scale with
-    :func:`residual_tolerance`.
-    """
+#: Base relative-residual budget for accepted Newton states.  Their
+#: acceptance test is a step-norm tolerance, so the nonlinear residual
+#: of a legitimately converged state is bounded by ``||J|| * vtol``;
+#: the gate sits ~100x above that and ~100x below a grossly corrupted
+#: state.  Both budgets scale with :func:`residual_tolerance`.
+NEWTON_RTOL = 3e-4
 
-    enabled: bool = True
-    #: Base relative-residual budget for direct linear solves.
-    linear_rtol: float = 1e-9
-    #: Base relative-residual budget for accepted Newton states.
-    newton_rtol: float = 3e-4
-    #: Reciprocal-condition estimates below this raise a warning, and
-    #: keep a Newton kernel from running Woodbury over the factor.
-    rcond_min: float = 1e-12
-    #: Full residual check every Nth accepted solve (1 = every solve).
-    #: A full check costs about one Newton iteration (device evaluation
-    #: plus a mat-vec), so the stride is what keeps the clean path
-    #: cheap (tests/test_trust.py holds a clean run to one check per 32
-    #: Newton solves); the per-solve finiteness guard still trips
-    #: immediately on NaN/inf corruption.
-    check_interval: int = 32
-    #: Voltage scale folded into the residual denominator so near-zero
-    #: states do not produce 0/0 false positives.
-    voltage_floor: float = 1.0
+#: Reciprocal-condition estimates below this raise a warning, and keep
+#: a Newton kernel from running Woodbury over the factor.
+RCOND_MIN = 1e-12
 
+#: Full residual check every Nth accepted solve.  A full check costs
+#: about one Newton iteration (device evaluation plus a mat-vec), so
+#: the stride is what keeps the clean path cheap (tests/test_trust.py
+#: holds a clean run to one check per 32 Newton solves); the per-solve
+#: finiteness guard still trips immediately on NaN/inf corruption.
+CHECK_INTERVAL = 32
 
-_CONFIG = TrustConfig()
+#: Voltage scale folded into the residual denominator so near-zero
+#: states do not produce 0/0 false positives.
+VOLTAGE_FLOOR = 1.0
+
+#: Whether the layer verifies at all; :func:`trust_mode` flips it.
+_ENABLED = True
 
 #: Per-process ledger of trust events (violations, escalation hops).
 #: Drained by ``DelayNoiseAnalyzer.analyze`` into ``Degradation``
@@ -111,30 +106,20 @@ _CONFIG = TrustConfig()
 _EVENTS: list[dict] = []
 
 
-def config() -> TrustConfig:
-    return _CONFIG
-
-
-def configure(**changes) -> TrustConfig:
-    """Replace fields of the process-wide :class:`TrustConfig`."""
-    global _CONFIG
-    _CONFIG = replace(_CONFIG, **changes)
-    return _CONFIG
-
-
 def trust_enabled() -> bool:
-    return _CONFIG.enabled
+    return _ENABLED
 
 
 @contextmanager
 def trust_mode(enabled: bool):
     """Temporarily enable/disable verification (tests)."""
-    previous = _CONFIG.enabled
-    configure(enabled=enabled)
+    global _ENABLED
+    previous = _ENABLED
+    _ENABLED = enabled
     try:
         yield
     finally:
-        configure(enabled=previous)
+        _ENABLED = previous
 
 
 def matrix_norm1(matrix) -> float:
@@ -152,26 +137,23 @@ def residual_tolerance(dim: int, base: float) -> float:
     return base * max(1.0, math.sqrt(float(dim)))
 
 
-def relative_residual(residual, anorm: float, x, b, *,
-                      floor: float | None = None) -> float:
+def relative_residual(residual, anorm: float, x, b) -> float:
     """``||r|| / (||A||*||x|| + ||b||)`` with a scale floor.
 
-    ``floor`` (defaults to ``config().voltage_floor``) enters as
-    ``anorm * floor`` in the denominator: early-transient states are
-    near zero and the bare ratio would be 0/0.  Non-finite residuals
-    report ``inf`` so they always violate.
+    :data:`VOLTAGE_FLOOR` enters as ``anorm * VOLTAGE_FLOOR`` in the
+    denominator: early-transient states are near zero and the bare
+    ratio would be 0/0.  Non-finite residuals report ``inf`` so they
+    always violate.
     """
     residual = np.asarray(residual, dtype=float)
     if residual.size and not np.isfinite(residual).all():
         return math.inf
-    if floor is None:
-        floor = _CONFIG.voltage_floor
     rnorm = float(np.abs(residual).max()) if residual.size else 0.0
     xnorm = float(np.abs(np.asarray(x)).max()) if np.size(x) else 0.0
     bnorm = float(np.abs(np.asarray(b)).max()) if np.size(b) else 0.0
     if not math.isfinite(xnorm) or not math.isfinite(bnorm):
         return math.inf
-    denominator = anorm * (xnorm + floor) + bnorm
+    denominator = anorm * (xnorm + VOLTAGE_FLOOR) + bnorm
     if denominator <= 0.0:
         return math.inf if rnorm > 0.0 else 0.0
     return rnorm / denominator
@@ -182,15 +164,15 @@ def observe_factorization(fact, context: str = "") -> float | None:
 
     Returns the reciprocal condition estimate, or ``None`` when the
     layer is off or the backend cannot produce one.  Estimates below
-    ``rcond_min`` raise ``trust.condition_warnings`` and log — they do
-    not escalate on their own (an ill-conditioned but correct solve
+    :data:`RCOND_MIN` raise ``trust.condition_warnings`` and log — they
+    do not escalate on their own (an ill-conditioned but correct solve
     passes the residual audit; a wrong one does not).
     """
-    if not _CONFIG.enabled:
+    if not _ENABLED:
         return None
     _FACTORIZATIONS.inc()
     rcond = fact.rcond_estimate()
-    if rcond is not None and rcond < _CONFIG.rcond_min:
+    if rcond is not None and rcond < RCOND_MIN:
         _CONDITION.inc()
         log.warning("ill-conditioned factorization (rcond ~ %.3e)%s",
                     rcond, f" in {context}" if context else "")
@@ -245,8 +227,7 @@ AUDIT_TOLERANCE = 1e-9
 
 
 def run_audit(nets, reports, analyzer, *, rate: float, seed: int = 0,
-              analyze_kwargs: dict | None = None,
-              tolerance: float = AUDIT_TOLERANCE) -> dict:
+              analyze_kwargs: dict | None = None) -> dict:
     """Re-run a seeded random sample of nets on the dense reference.
 
     Every non-linear solve of the oracle run goes through
@@ -287,7 +268,7 @@ def run_audit(nets, reports, analyzer, *, rate: float, seed: int = 0,
             lhs = float(getattr(screened, field))
             rhs = float(getattr(oracle, field))
             delta = abs(lhs - rhs)
-            if not math.isfinite(delta) or delta > tolerance:
+            if not math.isfinite(delta) or delta > AUDIT_TOLERANCE:
                 mismatches.append({
                     "net": net.name, "field": field, "screened": lhs,
                     "oracle": rhs, "delta": delta})
@@ -297,11 +278,11 @@ def run_audit(nets, reports, analyzer, *, rate: float, seed: int = 0,
         log.error("audit mismatch on %s.%s: screened %.6e vs oracle "
                   "%.6e (|delta| %.3e > %.0e)", miss["net"],
                   miss["field"], miss["screened"], miss["oracle"],
-                  miss["delta"], tolerance)
+                  miss["delta"], AUDIT_TOLERANCE)
     return {"rate": rate, "seed": seed, "eligible": len(eligible),
             "sampled": [net.name for net in sampled],
             "checked": checked, "mismatches": mismatches,
-            "tolerance": tolerance, "ok": not mismatches}
+            "tolerance": AUDIT_TOLERANCE, "ok": not mismatches}
 
 
 def __getattr__(name: str):

@@ -65,19 +65,9 @@ class TestAlignmentMethods:
         with pytest.raises(ValueError, match="no aggressors"):
             analyzer.analyze(net)
 
-    def test_outer_iterations_validated(self, analyzer,
-                                        two_aggressor_net):
-        """Regression: outer_iterations=0 used to crash deep in the flow
-        with a NameError on the unbound loop variable ``pulses``."""
-        with pytest.raises(ValueError, match="outer_iterations"):
-            analyzer.analyze(two_aggressor_net, outer_iterations=0)
-        with pytest.raises(ValueError, match="outer_iterations"):
-            analyzer.analyze(two_aggressor_net, outer_iterations=-1)
-
     def test_exhaustive_at_least_table(self, analyzer, two_aggressor_net,
                                        report):
-        best = analyzer.analyze(two_aggressor_net, alignment="exhaustive",
-                                exhaustive_steps=25)
+        best = analyzer.analyze(two_aggressor_net, alignment="exhaustive")
         assert best.extra_delay_output >= \
             report.extra_delay_output - 5 * PS
 
@@ -85,8 +75,7 @@ class TestAlignmentMethods:
                                        report):
         """Paper Figure 14: predicted alignment lands within ~10% of the
         exhaustive worst case at the receiver output."""
-        best = analyzer.analyze(two_aggressor_net, alignment="exhaustive",
-                                exhaustive_steps=25)
+        best = analyzer.analyze(two_aggressor_net, alignment="exhaustive")
         assert report.extra_delay_output >= \
             0.85 * best.extra_delay_output
 
@@ -157,12 +146,3 @@ class TestTableCache:
         analyzer.alignment_table_for(inverter(2.0), True)
         assert (analyzer.table_hits, analyzer.table_misses) == (1, 0)
 
-
-class TestCsmEngineOption:
-    def test_analyze_with_csm_rtr(self, analyzer, two_aggressor_net):
-        fast = analyzer.analyze(two_aggressor_net, alignment="table",
-                                rtr_driver_engine="csm")
-        ref = analyzer.analyze(two_aggressor_net, alignment="table")
-        assert fast.rtr == pytest.approx(ref.rtr, rel=0.1)
-        assert fast.extra_delay_output == pytest.approx(
-            ref.extra_delay_output, rel=0.05)

@@ -287,23 +287,25 @@ class TestObservability:
 
     def test_screen_trace_metrics_and_summarize(self, tmp_path,
                                                 capsys):
-        """End-to-end: ``screen --trace/--metrics`` writes artifacts
-        that ``trace summarize`` and plain JSON tooling can consume."""
+        """End-to-end: ``screen --trace/--manifest`` writes artifacts
+        that ``trace summarize`` and plain JSON tooling can consume; the
+        manifest's ``"metrics"`` block is the metrics registry."""
+        from repro.obs import load_manifest
         trace_file = tmp_path / "run.jsonl"
-        metrics_file = tmp_path / "run.json"
+        manifest_file = tmp_path / "run.json"
         # The registry is process-global and cumulative; zero it so the
         # written metrics describe this run alone.
         metrics().reset()
         try:
             code = main(["screen", "--seed", "3", "--count", "1",
                          "--trace", str(trace_file),
-                         "--metrics", str(metrics_file)])
+                         "--manifest", str(manifest_file)])
         finally:
             disable_tracing()
         out = capsys.readouterr().out
         assert code == 0
         assert f"spans to {trace_file}" in out
-        assert f"metrics to {metrics_file}" in out
+        assert f"manifest to {manifest_file}" in out
 
         records = read_trace(trace_file)
         names = {r["name"] for r in records}
@@ -312,7 +314,7 @@ class TestObservability:
         net_spans = [r for r in records if r["name"] == "net.analyze"]
         assert [r["attrs"]["net"] for r in net_spans] == ["net0"]
 
-        payload = json.loads(metrics_file.read_text())
+        payload = load_manifest(manifest_file)["metrics"]
         assert payload["counters"]["analysis.nets"] == 1
         assert payload["histograms"]["newton.iterations"]["count"] > 0
 

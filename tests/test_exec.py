@@ -153,8 +153,6 @@ class TestSnapshot:
         assert len(restored.cache) == len(analyzer.cache)
         assert len(restored.alignment_tables()) == \
             len(analyzer.alignment_tables())
-        assert restored.dt == analyzer.dt
-        assert restored.table_kwargs == analyzer.table_kwargs
         # The restored analyzer answers from cache, not by building.
         restored.cache.table_for(population[0].victim_driver)
         assert restored.cache.misses == 0
@@ -239,16 +237,15 @@ class TestTierLabels:
             analyze_nets(population, jobs=1, analyzer=analyzer,
                          tier_labels={"net0": 3})
 
-    def test_run_hash_unchanged_without_labels(self, analyzer,
-                                               population):
+    def test_run_hash_unchanged_without_labels(self, population):
         """tier_labels=None must hash exactly like the pre-screening
         code: old checkpoints stay resumable."""
         from repro.exec.pool import _run_identity
         kwargs = {"alignment": "table"}
-        base = _run_identity(population, analyzer, kwargs)
-        assert _run_identity(population, analyzer, kwargs,
+        base = _run_identity(population, kwargs)
+        assert _run_identity(population, kwargs,
                              tier_labels=None) == base
-        assert _run_identity(population, analyzer, kwargs,
+        assert _run_identity(population, kwargs,
                              tier_labels={"net0": 0}) != base
 
 

@@ -212,7 +212,7 @@ class TestIllConditionedBase:
     def test_base_factor_is_ill_conditioned(self):
         mna = build_mna(self.pi_loaded_inverter(), allow_devices=True)
         rcond = factorize(mna.G).rcond_estimate()
-        assert rcond < trust.config().rcond_min
+        assert rcond < trust.RCOND_MIN
 
     @pytest.mark.parametrize("trusted", [True, False])
     def test_dc_point_matches_reference(self, trusted):

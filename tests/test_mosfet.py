@@ -224,6 +224,40 @@ class TestBatchEvaluation:
                 ref = m.evaluate(vg[j], vd[j], vs[j])
                 assert got == tuple(ref)  # bit-identical floats
 
+    def test_evaluate_batch_channel_matches_scalar(self):
+        """The block kernel's channel-only evaluation over ``(a, 3, n)``
+        bias blocks is :meth:`Mosfet.evaluate` once the gmin shunt it
+        leaves out is added back, with and without ``d_out``."""
+        import numpy as np
+
+        from repro.devices import batch_params
+        from repro.devices.mosfet import evaluate_batch_channel
+
+        devices = self._devices()
+        n = len(devices)
+        params = batch_params(devices)
+        gmin = params.gmin
+        rng = np.random.default_rng(13)
+        for draw in range(50):
+            v = rng.uniform(-0.5, TECH.vdd + 0.5, (4, 3, n))
+            given = np.empty((4, 3 * n)) if draw % 2 else None
+            i, d = evaluate_batch_channel(params, v, d_out=given)
+            if given is not None:
+                assert d is given
+            assert d.shape == (4, 3 * n)
+            dg, dd, ds = d[:, :n], d[:, n:2 * n], d[:, 2 * n:]
+            np.testing.assert_allclose(dg + dd + ds, 0.0, atol=1e-12)
+            vd, vs = v[:, 1], v[:, 2]
+            i = i + gmin * (vd - vs)
+            dd = dd + gmin
+            ds = ds - gmin
+            for c in range(v.shape[0]):
+                for j, m in enumerate(devices):
+                    ref = m.evaluate(*v[c, :, j])
+                    for got, want in zip((i, dg, dd, ds), ref):
+                        assert got[c, j] == pytest.approx(
+                            want, rel=1e-12, abs=1e-18)
+
     def test_derivatives_sum_to_zero(self):
         """Terminal current depends on voltage *differences*, so the
         three derivatives must cancel — batch path included."""

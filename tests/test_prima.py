@@ -207,8 +207,8 @@ class TestPortModel:
             before = checks.value
             clean = model.simulate(times, inputs)
             # Every stride-th step plus the last (the stride of
-            # simulate_linear: 4 x check_interval).
-            stride = 4 * max(1, trust.config().check_interval)
+            # simulate_linear: 4 x CHECK_INTERVAL).
+            stride = 4 * trust.CHECK_INTERVAL
             last = times.size - 2
             assert last % stride
             assert checks.value - before == last // stride + 2
@@ -228,3 +228,22 @@ class TestPortModel:
             np.testing.assert_allclose(faulted[node].values,
                                        clean[node].values,
                                        rtol=0, atol=1e-12)
+
+    def test_reduced_step_matrix_is_condition_monitored(self):
+        """The reduced transient runs the integrator of
+        ``simulate_linear``, so its step matrix is condition-monitored
+        like every other trapezoidal step matrix: one observed
+        factorization per transient with the trust layer on, none with
+        it off."""
+        model = ReducedModel.from_ports(
+            self.tree_mna(False), self.PORTS, 24, self.REFERENCE
+        ).terminated(self.TERMINATIONS[0])
+        times = time_grid(0.5 * NS, 1 * PS)
+        inputs = np.zeros((len(self.PORTS), times.size))
+        inputs[1] = np.clip(times / (0.1 * NS), 0.0, 1.0) * 1.8 / 250.0
+        observed = metrics().counter("trust.factorizations")
+        for enabled, count in ((True, 1), (False, 0)):
+            with trust.trust_mode(enabled):
+                before = observed.value
+                model.simulate(times, inputs)
+                assert observed.value - before == count, enabled

@@ -313,9 +313,8 @@ class TestDegradation:
     def test_bad_parameter_still_raises(self, analyzer,
                                         single_aggressor_net):
         """Degradation must not swallow caller typos."""
-        with pytest.raises(ValueError, match="rtr_driver_load"):
-            analyzer.analyze(single_aggressor_net,
-                             rtr_driver_load="banana")
+        with pytest.raises(ValueError, match="alignment"):
+            analyzer.analyze(single_aggressor_net, alignment="banana")
 
 
 # ----------------------------------------------------------------------

@@ -68,10 +68,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="guard_band"):
             ScreeningConfig(noise_threshold=0.5, guard_band=0.9)
 
-    def test_victim_r_scale_floor(self):
-        with pytest.raises(ValueError, match="victim_r_scale"):
-            ScreeningConfig(noise_threshold=0.5, victim_r_scale=0.5)
-
 
 # ----------------------------------------------------------------------
 # Tier 0: closed-form charge-sharing bound

@@ -61,14 +61,12 @@ VDD = TECH.vdd
 
 @pytest.fixture(autouse=True)
 def clean_trust_state():
-    """No leaked faults, events or config changes between tests."""
+    """No leaked faults or events between tests."""
     clear_faults()
     trust.drain_events()
-    saved = trust.config()
     yield
     clear_faults()
     trust.drain_events()
-    trust.configure(**dataclasses.asdict(saved))
 
 
 def inverter_circuit(input_wave, c_load=20 * FF):
@@ -108,8 +106,9 @@ class TestResidualMath:
         r = np.array([1e-6, 0.0])
         x = np.array([1.0, 2.0])
         b = np.array([3.0, 0.0])
-        rel = trust.relative_residual(r, 10.0, x, b, floor=1.0)
-        # ||r|| / (||A|| * (||x|| + floor) + ||b||) with inf-norms.
+        rel = trust.relative_residual(r, 10.0, x, b)
+        # ||r|| / (||A|| * (||x|| + VOLTAGE_FLOOR) + ||b||) with
+        # inf-norms; the floor is 1 V.
         assert rel == pytest.approx(1e-6 / (10.0 * 3.0 + 3.0))
 
     def test_voltage_floor_prevents_zero_over_zero(self):
@@ -146,7 +145,7 @@ class TestConditionMonitoring:
         rcond = trust.observe_factorization(fact, "test")
         if rcond is None:
             pytest.skip("backend has no rcond estimate")
-        assert rcond < trust.config().rcond_min
+        assert rcond < trust.RCOND_MIN
         assert counter.value == before + 1
 
     def test_well_conditioned_factorization_quiet(self):
@@ -154,7 +153,7 @@ class TestConditionMonitoring:
         counter = metrics().counter("trust.condition_warnings")
         before = counter.value
         rcond = trust.observe_factorization(fact, "test")
-        assert rcond is None or rcond > trust.config().rcond_min
+        assert rcond is None or rcond > trust.RCOND_MIN
         assert counter.value == before
 
     def test_disabled_layer_is_noop(self):
@@ -527,7 +526,7 @@ class TestWorkerGuards:
 # Clean-path audit budget, as a work count
 # ----------------------------------------------------------------------
 #: A clean run audits at most one accepted Newton solve in this many
-#: (the default ``TrustConfig.check_interval``).  A count repeats
+#: (``trust.CHECK_INTERVAL``).  A count repeats
 #: exactly on any host, where a wall-time ratio over a fraction of a
 #: second does not; the layer's wall time is the benchmark's
 #: ``trust.s`` row.
